@@ -319,7 +319,7 @@ def _enumerate_payload(cfg: RunConfig, use_oracle: bool):
     out = vs
     if cfg.project is not None:
         out = project_set(vs, _projection_from_flag(cfg.project, boxed), dedup_tol=cfg.dedup_tol)
-    sense = model.objective.sense if model.objective is not None else "min"
+    sense = model.objective.sense
     payload = {
         "status": "ok",
         "z_star": base.value,
@@ -349,9 +349,7 @@ def _inject_point(vs: VertexSet, model: LpModel, raw: str) -> VertexSet:
     if point.shape != (len(vs.names),):
         raise UsageError(f"--inject-bad-point needs {len(vs.names)} coordinates")
     points = np.vstack([vs.points, point[None, :]]) if len(vs) else point[None, :]
-    objectives = None
-    if model.objective is not None:
-        objectives = np.array([model.evaluate_objective(p) for p in points])
+    objectives = np.array([model.evaluate_objective(p) for p in points])
     meta = dict(vs.meta)
     meta["injected_point"] = point.tolist()
     return VertexSet(points=points, names=vs.names, objectives=objectives, complete=vs.complete, meta=meta)

@@ -264,19 +264,12 @@ def _cost_objective(net: Network) -> Objective:
     )
 
 
-def _check_reactances(net: Network):
-    for ln in net.lines:
-        if not (ln.reactance > 0):
-            raise NetworkError("reactance", f"line ({ln.from_bus}, {ln.to_bus}) has zero reactance")
-
-
 def build_dcopf(net: Network) -> LpModel:
     """Full linearized power flow over variables ordered (P..., f..., theta...).
 
     Flows couple to angle differences through 1/reactance; angles stay free,
     so vertex enumeration requires box bounds on this model.
     """
-    _check_reactances(net)
     variables = (
         _generation_variables(net)
         + _flow_variables(net)
@@ -303,7 +296,6 @@ def build_dcopf(net: Network) -> LpModel:
 
 def build_network_flow(net: Network) -> LpModel:
     """Balance-only relaxation: same P and f variables, no angles."""
-    _check_reactances(net)
     variables = _generation_variables(net) + _flow_variables(net)
     return LpModel(
         variables,

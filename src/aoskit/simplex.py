@@ -9,7 +9,8 @@ stall keeps the method finite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,50 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERIC_FAILURE = "numeric_failure"
+
+
+def basic_point(A, b, lower, upper, basis, status) -> np.ndarray:
+    """Coordinates of the basic solution for (basis, nonbasic statuses).
+
+    A nonbasic column rests at its lower bound ("L"), its upper bound ("U"),
+    or, when free ("F"), at zero; the basic columns then solve A x = b.
+    """
+    x = np.where(status == "L", lower, np.where(status == "U", upper, 0.0))
+    if len(basis):
+        nonbasic = np.ones(A.shape[1], dtype=bool)
+        nonbasic[basis] = False
+        # keep the nonbasic-only product: its summation order fixes the pivots
+        rhs = b - A[:, nonbasic] @ x[nonbasic]
+        x[basis] = np.linalg.solve(A[:, basis], rhs)
+    return x
+
+
+def ratio_test(lower, upper, xb, rate) -> tuple[np.ndarray, float]:
+    """Step limits imposed by the bounds of the basic variables.
+
+    ``lower``, ``upper`` and ``xb`` are the basic variables' bounds and
+    values; ``rate[i]`` is d(xb[i])/dt for a unit step t of the entering
+    move. Rates within TOL_PIVOT of zero never block. Returns (per-row
+    ratios, smallest ratio), with inf for an unblocked row or an empty basis.
+    """
+    rises = (rate > TOL_PIVOT) & np.isfinite(upper)
+    falls = (rate < -TOL_PIVOT) & np.isfinite(lower)
+    ratios = np.full(len(rate), np.inf)
+    ratios[rises] = (upper[rises] - xb[rises]) / rate[rises]
+    ratios[falls] = (xb[falls] - lower[falls]) / -rate[falls]
+    ratios = np.maximum(ratios, 0.0)  # degenerate overshoot clamps to zero
+    return ratios, (float(ratios.min()) if ratios.size else math.inf)
+
+
+def _tied(ratios: np.ndarray, t: float) -> np.ndarray:
+    """Rows whose ratio ties the smallest one, ``t``."""
+    return np.nonzero(ratios <= t * (1 + 1e-9) + 1e-12)[0]
+
+
+def leaving_row(ratios: np.ndarray, t: float, w: np.ndarray) -> int:
+    """Among the rows tied at the smallest ratio, the largest pivot |w[r]|."""
+    tied = _tied(ratios, t)
+    return int(tied[np.argmax(np.abs(w[tied]))])
 
 
 @dataclass
@@ -65,30 +110,15 @@ class _BoundedSimplex:
         self.max_iter = max_iter if max_iter is not None else max(5000, 200 * (m + n))
         self.bland = False
         self.degenerate_run = 0
+        self.ray: np.ndarray | None = None  # recession direction once UNBOUNDED
 
     # -- linear algebra helpers -------------------------------------------
 
     def _B(self) -> np.ndarray:
         return self.A[:, self.basis] if self.basis else np.zeros((0, 0))
 
-    def _nonbasic_value(self, j: int) -> float:
-        s = self.status[j]
-        if s == "L":
-            return self.lower[j]
-        if s == "U":
-            return self.upper[j]
-        return 0.0  # free, resting at zero
-
     def compute_x(self) -> np.ndarray:
-        x = np.zeros(self.A.shape[1])
-        basic = np.zeros(self.A.shape[1], dtype=bool)
-        basic[self.basis] = True
-        for j in np.nonzero(~basic)[0]:
-            x[j] = self._nonbasic_value(j)
-        if self.basis:
-            rhs = self.b - self.A[:, ~basic] @ x[~basic]
-            x[self.basis] = np.linalg.solve(self._B(), rhs)
-        return x
+        return basic_point(self.A, self.b, self.lower, self.upper, self.basis, self.status)
 
     # -- pivoting -----------------------------------------------------------
 
@@ -108,7 +138,11 @@ class _BoundedSimplex:
         return int(idx[np.argmax(np.abs(d[idx]))])
 
     def _step(self, c: np.ndarray, x: np.ndarray) -> str | None:
-        """One pivot or bound flip; returns a terminal status or None."""
+        """One pivot or bound flip; returns a terminal status or None.
+
+        On UNBOUNDED the entering move is itself the recession direction:
+        ``self.ray`` gets +-1 on the entering column and ``rate`` on the basis.
+        """
         try:
             if self.basis:
                 y = np.linalg.solve(self._B().T, c[self.basis])
@@ -131,32 +165,25 @@ class _BoundedSimplex:
 
         # rate of change of each basic variable as x_j moves by +t*direction
         rate = -direction * w
-        xb = x[self.basis] if self.basis else np.zeros(0)
-        ratios = np.full(len(self.basis), np.inf)
-        for i, bi in enumerate(self.basis):
-            if rate[i] > TOL_PIVOT and np.isfinite(self.upper[bi]):
-                ratios[i] = (self.upper[bi] - xb[i]) / rate[i]
-            elif rate[i] < -TOL_PIVOT and np.isfinite(self.lower[bi]):
-                ratios[i] = (xb[i] - self.lower[bi]) / (-rate[i])
-        ratios = np.maximum(ratios, 0.0)  # degenerate overshoot clamps to zero
+        ratios, t_basic = ratio_test(self.lower[self.basis], self.upper[self.basis], x[self.basis], rate)
 
         own_range = self.upper[j] - self.lower[j]
-        t_basic = float(ratios.min()) if ratios.size else np.inf
         if own_range <= t_basic:
             if not np.isfinite(own_range):
+                self.ray = np.zeros(self.A.shape[1])
+                self.ray[j] = direction
+                self.ray[self.basis] = rate
                 return UNBOUNDED
             # bound flip: the entering column crosses to its other bound
             self.status[j] = "U" if self.status[j] == "L" else "L"
             self.degenerate_run = self.degenerate_run + 1 if own_range <= TOL_PIVOT else 0
             return None
-        if not np.isfinite(t_basic):
-            return UNBOUNDED
 
-        tied = np.nonzero(ratios <= t_basic * (1 + 1e-9) + 1e-12)[0]
         if self.bland:
+            tied = _tied(ratios, t_basic)
             r = int(tied[np.argmin(np.array(self.basis)[tied])])
         else:
-            r = int(tied[np.argmax(np.abs(w[tied]))])
+            r = leaving_row(ratios, t_basic, w)
         leaving = self.basis[r]
         self.status[leaving] = "U" if rate[r] > 0 else "L"
         self.status[j] = "B"
@@ -165,38 +192,18 @@ class _BoundedSimplex:
         self.degenerate_run = self.degenerate_run + 1 if t_basic <= TOL_PIVOT else 0
         return None
 
-    def run(self, c: np.ndarray) -> tuple[str, np.ndarray | None]:
-        """Iterate to optimality for objective c; returns (status, entering ray)."""
+    def run(self, c: np.ndarray) -> str:
+        """Iterate to a terminal status for objective c (``self.ray`` on UNBOUNDED)."""
         stall_limit = 50 * max(1, len(self.basis))
         while True:
             if self.iterations >= self.max_iter:
-                return NUMERIC_FAILURE, None
+                return NUMERIC_FAILURE
             self.iterations += 1
             if self.degenerate_run > stall_limit:
                 self.bland = True
-            x = self.compute_x()
-            outcome = self._step(c, x)
-            if outcome == UNBOUNDED:
-                return UNBOUNDED, self._last_ray(c, x)
+            outcome = self._step(c, self.compute_x())
             if outcome is not None:
-                return outcome, None
-
-    def _last_ray(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Recession direction for the step that just proved unboundedness."""
-        if self.basis:
-            y = np.linalg.solve(self._B().T, c[self.basis])
-            d = c - self.A.T @ y
-        else:
-            d = c.copy()
-        d[self.basis] = 0.0
-        j = self._entering(d)
-        direction = 1.0 if (self.status[j] == "L" or d[j] < 0) else -1.0
-        ray = np.zeros(self.A.shape[1])
-        ray[j] = direction
-        if self.basis:
-            w = np.linalg.solve(self._B(), self.A[:, j])
-            ray[self.basis] = -direction * w
-        return ray
+                return outcome
 
     # -- phase 1 -------------------------------------------------------------
 
@@ -209,8 +216,8 @@ class _BoundedSimplex:
                 self.status[j] = "U"
             else:
                 self.status[j] = "F"
-        x_fixed = np.array([self._nonbasic_value(j) for j in range(n)])
-        resid = self.b - self.A[:, :n] @ x_fixed
+        x_rest = basic_point(self.A[:, :n], self.b, self.lower[:n], self.upper[:n], [], self.status[:n])
+        resid = self.b - self.A[:, :n] @ x_rest
         for i in range(m):
             self.A[i, n + i] = 1.0 if resid[i] >= 0 else -1.0
         self.basis = list(range(n, n + m))
@@ -218,7 +225,7 @@ class _BoundedSimplex:
 
         c1 = np.zeros(n + m)
         c1[n:] = 1.0
-        status, _ = self.run(c1)
+        status = self.run(c1)
         if status != OPTIMAL:
             return status
         x = self.compute_x()
@@ -265,11 +272,10 @@ def solve_standard(sf: StandardForm, max_iter: int | None = None) -> SimplexResu
     solver = _BoundedSimplex(sf, max_iter=max_iter)
     try:
         status = solver.phase1()
-        ray_std = None
         if status == OPTIMAL:
             c2 = np.zeros(solver.A.shape[1])
             c2[: sf.n] = sf.c
-            status, ray_std = solver.run(c2)
+            status = solver.run(c2)
     except np.linalg.LinAlgError:
         status = NUMERIC_FAILURE
 
@@ -305,13 +311,10 @@ def solve_standard(sf: StandardForm, max_iter: int | None = None) -> SimplexResu
             iterations=solver.iterations,
         )
     if status == UNBOUNDED:
-        ray = None
-        if ray_std is not None:
-            ray = used_sf.recover(ray_std[: sf.n])
         return SimplexResult(
             status=UNBOUNDED,
             sf=used_sf,
-            ray=ray,
+            ray=used_sf.recover(solver.ray[: sf.n]),
             iterations=solver.iterations,
             message="objective improves without limit along the reported ray",
         )

@@ -4,7 +4,10 @@ Two independent routes to the same answer:
 
 * :func:`enumerate_vertices` walks the basis graph: starting from one
   optimal basis it breadth-first explores every feasible single pivot and
-  bound flip, merging degenerate bases by geometric point.
+  bound flip, merging degenerate bases by geometric point. Its basic-point
+  solve, ratio test and leaving-row rule are the simplex's own
+  (:func:`~aoskit.simplex.basic_point`, :func:`~aoskit.simplex.ratio_test`,
+  :func:`~aoskit.simplex.leaving_row`), so both walk the same bases.
 * :func:`brute_force_vertices` intersects every n-subset of constraint,
   bound, and level-cut hyperplanes and keeps the feasible solutions. It is
   slower but has no pivoting logic to get wrong, so it serves as the
@@ -20,7 +23,16 @@ import numpy as np
 
 from .model import LpModel
 from .sets import UniquenessCertificate, VertexSet
-from .simplex import INFEASIBLE, NUMERIC_FAILURE, TOL_PIVOT, UNBOUNDED, solve_model
+from .simplex import (
+    INFEASIBLE,
+    NUMERIC_FAILURE,
+    TOL_PIVOT,
+    UNBOUNDED,
+    basic_point,
+    leaving_row,
+    ratio_test,
+    solve_model,
+)
 from .standard_form import StandardForm
 from .sublevel import SublevelSpec, make_sublevel_model
 
@@ -46,38 +58,6 @@ class OracleGuardError(EnumerationError):
     """The brute-force combination count exceeds the configured guard."""
 
 
-def _point_at(sf: StandardForm, basis: list[int], st: np.ndarray) -> np.ndarray:
-    """Coordinates of the basic solution for (basis, nonbasic statuses)."""
-    x = np.zeros(sf.n)
-    for j in range(sf.n):
-        if st[j] == "L":
-            x[j] = sf.lower[j]
-        elif st[j] == "U":
-            x[j] = sf.upper[j]
-    if basis:
-        mask = np.ones(sf.n, dtype=bool)
-        mask[basis] = False
-        rhs = sf.b - sf.A[:, mask] @ x[mask]
-        x[basis] = np.linalg.solve(sf.A[:, basis], rhs)
-    return x
-
-
-def _ratio_test(sf: StandardForm, basis: list[int], x: np.ndarray, rate: np.ndarray):
-    """Step limits imposed by the basic variables' bounds.
-
-    ``rate[i]`` is d(x_basis[i])/dt for unit step t of the entering move.
-    Returns (per-blocker ratios, smallest ratio).
-    """
-    ratios = np.full(len(basis), np.inf)
-    for i, bi in enumerate(basis):
-        if rate[i] > TOL_PIVOT and np.isfinite(sf.upper[bi]):
-            ratios[i] = (sf.upper[bi] - x[bi]) / rate[i]
-        elif rate[i] < -TOL_PIVOT and np.isfinite(sf.lower[bi]):
-            ratios[i] = (x[bi] - sf.lower[bi]) / (-rate[i])
-    ratios = np.maximum(ratios, 0.0)
-    return ratios, (float(ratios.min()) if ratios.size else math.inf)
-
-
 def _crash_free_columns(sf: StandardForm, basis: list[int], st: np.ndarray):
     """Pivot every free nonbasic column into the basis.
 
@@ -91,15 +71,14 @@ def _crash_free_columns(sf: StandardForm, basis: list[int], st: np.ndarray):
         if not free_nb:
             return basis, st
         j = free_nb[0]
-        x = _point_at(sf, basis, st)
+        x = basic_point(sf.A, sf.b, sf.lower, sf.upper, basis, st)
         w = np.linalg.solve(sf.A[:, basis], sf.A[:, j]) if basis else np.zeros(0)
         pivoted = False
         for direction in (1.0, -1.0):
             rate = -direction * w
-            ratios, t = _ratio_test(sf, basis, x, rate)
+            ratios, t = ratio_test(sf.lower[basis], sf.upper[basis], x[basis], rate)
             if math.isfinite(t):
-                tied = np.nonzero(ratios <= t * (1 + 1e-9) + 1e-12)[0]
-                r = int(tied[np.argmax(np.abs(w[tied]))])
+                r = leaving_row(ratios, t, w)
                 st[basis[r]] = "U" if rate[r] > 0 else "L"
                 st[j] = "B"
                 basis[r] = j
@@ -120,12 +99,13 @@ def _neighbors(sf: StandardForm, basis: list[int], st: np.ndarray, x: np.ndarray
         nonbasic = list(nonbasic)
         order.shuffle(nonbasic)
     W = np.linalg.solve(sf.A[:, basis], sf.A[:, nonbasic]) if basis and nonbasic else None
+    lower_b, upper_b, xb = sf.lower[basis], sf.upper[basis], x[basis]
     out = []
     for k, j in enumerate(nonbasic):
         direction = 1.0 if st[j] == "L" else -1.0
         w = W[:, k] if W is not None else np.zeros(len(basis))
         rate = -direction * w
-        ratios, t_basic = _ratio_test(sf, basis, x, rate)
+        ratios, t_basic = ratio_test(lower_b, upper_b, xb, rate)
         own_range = sf.upper[j] - sf.lower[j]
         if not math.isfinite(t_basic) and not math.isfinite(own_range):
             raise UnboundedRegionError(
@@ -199,7 +179,7 @@ def enumerate_vertices(
         basis_l = list(node_basis)
         st_a = np.array(node_st, dtype="<U1")
         try:
-            x = _point_at(sf, basis_l, st_a)
+            x = basic_point(sf.A, sf.b, sf.lower, sf.upper, basis_l, st_a)
         except np.linalg.LinAlgError:
             continue
         if sf.max_violation(x) > 1e-7:

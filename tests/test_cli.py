@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -398,11 +399,15 @@ class TestNumericFailure:
 
 class TestSubprocessEntry:
     def test_python_dash_m_with_logging(self):
+        env = {"AOS_LOG": "info", "PATH": "/usr/bin:/bin"}
+        # an uninstalled checkout is importable only through the caller's PYTHONPATH
+        if "PYTHONPATH" in os.environ:
+            env["PYTHONPATH"] = os.environ["PYTHONPATH"]
         proc = subprocess.run(
             [sys.executable, "-m", "aoskit", "solve", CANONICAL],
             capture_output=True,
             text=True,
-            env={"AOS_LOG": "info", "PATH": "/usr/bin:/bin"},
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "optimal"

@@ -18,7 +18,7 @@ from .analysis import (
     rank_alternatives,
     rank_by_scores,
 )
-from .binary import BinarySolutionPool, enumerate_binary, no_good_cut, solve_binary
+from .binary import BinarySolutionPool, enumerate_binary, solve_binary
 from .model import Constraint, LpModel, Objective, Variable
 from .power import (
     Generator,
@@ -92,7 +92,6 @@ __all__ = [
     "make_report",
     "make_sublevel_model",
     "network_from_dict",
-    "no_good_cut",
     "parse_network",
     "project_point",
     "project_set",

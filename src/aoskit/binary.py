@@ -1,12 +1,13 @@
-"""Branch-and-bound for binary programs and no-good-cut solution pools."""
+"""Branch-and-bound for binary programs and single-tree solution pools."""
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Constraint, LpModel
+from .model import LpModel
 from .simplex import INFEASIBLE, NUMERIC_FAILURE, OPTIMAL, SimplexResult, solve_model
 from .sublevel import SublevelSpec
 
@@ -38,6 +39,20 @@ def _fix_variables(model: LpModel, fixes: dict[str, int]) -> LpModel:
             v = dataclasses.replace(v, lower=val, upper=val)
         new_vars.append(v)
     return LpModel(new_vars, model.constraints, model.objective, metadata=model.metadata)
+
+
+def _first_fractional(x: np.ndarray, idx: list[int]) -> int | None:
+    """Position in ``idx`` of the lowest-index binary that ``x`` leaves fractional."""
+    return next((pos for pos, j in enumerate(idx) if abs(x[j] - round(x[j])) > INT_TOL), None)
+
+
+def _children(model: LpModel, fixes: dict[str, int], name: str) -> list[dict[str, int]]:
+    """Nodes fixing ``name`` within its own bounds, pushed so LIFO explores 0 first.
+
+    ``_fix_variables`` replaces bounds, so an out-of-bounds value must not be a child.
+    """
+    v = model.variables[model.variable_index(name)]
+    return [{**fixes, name: val} for val in (1, 0) if v.lower - INT_TOL <= val <= v.upper + INT_TOL]
 
 
 def solve_binary(model: LpModel, binary_vars) -> SimplexResult:
@@ -72,10 +87,7 @@ def solve_binary(model: LpModel, binary_vars) -> SimplexResult:
             continue
         if best is not None and worse_or_equal(res.value):
             continue
-        frac = next(
-            (pos for pos, j in enumerate(idx) if abs(res.x[j] - round(res.x[j])) > INT_TOL),
-            None,
-        )
+        frac = _first_fractional(res.x, idx)
         if frac is None:
             # integral relaxation: re-solve with binaries pinned for a clean completion
             snapped = dict(fixes)
@@ -85,9 +97,7 @@ def solve_binary(model: LpModel, binary_vars) -> SimplexResult:
             if clean.status == OPTIMAL and (best is None or not worse_or_equal(clean.value)):
                 best = clean
             continue
-        # LIFO: push the 1-branch first so the 0-branch is explored first
-        stack.append({**fixes, names[frac]: 1})
-        stack.append({**fixes, names[frac]: 0})
+        stack.extend(_children(model, fixes, names[frac]))
 
     if best is None:
         return SimplexResult(status=INFEASIBLE, message="no binary assignment is feasible")
@@ -128,25 +138,19 @@ class BinarySolutionPool:
         }
 
 
-def no_good_cut(names: tuple[str, ...], assignment: tuple[int, ...]) -> Constraint:
-    """Constraint excluding exactly this 0/1 assignment of the named variables.
-
-    Flipping any one coordinate satisfies it, so feasible points at Hamming
-    distance >= 1 all survive.
-    """
-    coeffs = {n: (-1.0 if a == 1 else 1.0) for n, a in zip(names, assignment)}
-    return Constraint(coeffs=coeffs, sense=">=", rhs=1.0 - float(sum(assignment)))
-
-
 def enumerate_binary(
     model: LpModel, binary_vars, spec: SublevelSpec, limit: int = 1000
 ) -> BinarySolutionPool:
     """All binary-feasible assignments within the sublevel of ``spec``.
 
-    Iterates solve / record / add a no-good cut until the next optimum
-    exceeds the level value, infeasibility proves exhaustion, or ``limit``
-    entries accumulate. Entries are sorted best objective first, ties by
-    assignment lexicographically.
+    ``solve_binary`` finds the optimum that ``spec`` resolves to the level
+    ``tau``. One depth-first tree then prunes every node whose relaxation is
+    worse than ``tau`` or, once ``limit`` entries are held, worse than the
+    worst of them. A node whose relaxation is integral still branches on its
+    lowest-index unfixed binary, because other assignments within the level
+    can lie below it; every fully fixed leaf within the bound is an entry.
+    Entries are sorted best objective first, ties by assignment
+    lexicographically, and the best ``limit`` are kept.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -161,36 +165,30 @@ def enumerate_binary(
         return BinarySolutionPool(names, [], [], tau=None, exhausted=True)
     tau = spec.resolve(first.value, sense)
 
-    current = model
-    assignments: list[tuple[int, ...]] = []
-    values: list[float] = []
-    exhausted = False
-    res = first
-    while True:
-        if (sense == "min" and res.value > tau + VALUE_TOL) or (
-            sense == "max" and res.value < tau - VALUE_TOL
-        ):
-            exhausted = True  # every uncut assignment is at least this bad
-            break
-        assignment = tuple(int(round(res.x[j])) for j in idx)
-        assignments.append(assignment)
-        values.append(res.value)
-        if len(assignments) >= limit:
-            break
-        current = current.with_constraint(no_good_cut(names, assignment))
-        res = solve_binary(current, names)
+    sign = 1.0 if sense == "min" else -1.0
+    entries: list[tuple[float, tuple[int, ...]]] = []  # (sign * value, assignment), ascending
+    stack: list[dict[str, int]] = [{}]
+    while stack:
+        fixes = stack.pop()
+        res = solve_model(_fix_variables(model, fixes))
         if res.status == NUMERIC_FAILURE:
             raise ArithmeticError(f"binary solve failed: {res.message}")
-        if res.status != OPTIMAL:
-            exhausted = True
-            break
+        bound = entries[-1][0] if len(entries) == limit else sign * tau
+        if res.status != OPTIMAL or sign * res.value > bound + VALUE_TOL:
+            continue
+        if len(fixes) == len(names):
+            bisect.insort(entries, (sign * res.value, tuple(fixes[n] for n in names)))
+            del entries[limit:]
+            continue
+        pos = _first_fractional(res.x, idx)
+        if pos is None:
+            pos = next(p for p, n in enumerate(names) if n not in fixes)
+        stack.extend(_children(model, fixes, names[pos]))
 
-    sign = 1.0 if sense == "min" else -1.0
-    order = sorted(range(len(assignments)), key=lambda i: (sign * values[i], assignments[i]))
     return BinarySolutionPool(
         names=names,
-        assignments=[assignments[i] for i in order],
-        values=[values[i] for i in order],
+        assignments=[a for _, a in entries],
+        values=[sign * key for key, _ in entries],
         tau=tau,
-        exhausted=exhausted,
+        exhausted=len(entries) < limit,
     )

@@ -10,13 +10,24 @@ from aoskit import (
     SublevelSpec,
     Variable,
     enumerate_binary,
-    no_good_cut,
     solve_binary,
 )
 
 from conftest import random_binary_program, scan_binary_assignments
 
 GAP0 = SublevelSpec(gap=0.0)
+
+
+def on_flow():
+    """min 10*on - 3*flow  s.t.  flow <= 4*on,  flow in [0, 4],  on binary.
+
+    on=1 lets flow reach 4: 10 - 12 = -2; on=0 forces flow=0: value 0.
+    """
+    return LpModel(
+        variables=[Variable("on", 0.0, 1.0), Variable("flow", 0.0, 4.0)],
+        constraints=[Constraint({"flow": 1.0, "on": -4.0}, "<=", 0.0)],
+        objective=Objective("min", {"on": 10.0, "flow": -3.0}),
+    )
 
 
 def knapsack():
@@ -71,42 +82,25 @@ class TestSolveBinary:
             solve_binary(knapsack(), ("a", "zz"))
 
     def test_mixed_continuous_and_binary(self):
-        # min 10*on - 3*flow, flow <= 4*on, flow in [0, 4]: on=1 gives 10-12=-2,
-        # on=0 forces flow=0 giving 0, so the optimum is -2 at (1, 4).
-        model = LpModel(
-            variables=[Variable("on", 0.0, 1.0), Variable("flow", 0.0, 4.0)],
-            constraints=[Constraint({"flow": 1.0, "on": -4.0}, "<=", 0.0)],
-            objective=Objective("min", {"on": 10.0, "flow": -3.0}),
-        )
-        res = solve_binary(model, ("on",))
+        res = solve_binary(on_flow(), ("on",))
         assert res.status == "optimal"
         assert res.value == pytest.approx(-2.0, abs=1e-9)
         np.testing.assert_allclose(res.x, [1.0, 4.0], atol=1e-9)
 
-
-# ---------------------------------------------------------------------------
-# no-good cuts
-
-
-class TestNoGoodCut:
-    def test_excludes_only_the_generator(self):
-        names = ("a", "b")
-        cut = no_good_cut(names, (1, 0))
-        for bits in itertools.product((0, 1), repeat=2):
-            lhs = sum(cut.coeffs[n] * v for n, v in zip(names, bits))
-            satisfied = lhs >= cut.rhs - 1e-12
-            assert satisfied == (bits != (1, 0))
-
-    def test_every_assignment_excluded_exactly_once(self):
-        names = ("a", "b", "c")
-        for target in itertools.product((0, 1), repeat=3):
-            cut = no_good_cut(names, target)
-            violated = [
-                bits
-                for bits in itertools.product((0, 1), repeat=3)
-                if sum(cut.coeffs[n] * v for n, v in zip(names, bits)) < cut.rhs - 1e-12
-            ]
-            assert violated == [target]
+    def test_binary_with_raised_lower_bound_stays_in_bounds(self):
+        # a in [0.3, 1] admits only a=1, which caps b at 0.2, so b=0: value 1.
+        # The relaxation (a=0.3, b=1) branches on a; a=0 lies outside a's bounds.
+        model = LpModel(
+            variables=[Variable("a", 0.3, 1.0), Variable("b", 0.0, 1.0)],
+            constraints=[Constraint({"a": 1.0, "b": 1.0}, "<=", 1.2)],
+            objective=Objective("min", {"a": 1.0, "b": -0.1}),
+        )
+        res = solve_binary(model, ("a", "b"))
+        assert res.status == "optimal"
+        assert model.is_feasible(res.x)
+        np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-9)
+        assert res.value == pytest.approx(1.0, abs=1e-9)
+        assert enumerate_binary(model, ("a", "b"), GAP0).assignments == [(1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +137,39 @@ class TestEnumerateBinary:
 
     def test_limit_truncates_and_clears_exhausted(self):
         pool = enumerate_binary(knapsack(), BINARIES, SublevelSpec(gap=1.0), limit=2)
-        assert len(pool) == 2
+        assert pool.assignments == [(1, 1, 0), (1, 0, 0)]
+        assert pool.values == pytest.approx([9.0, 5.0])
         assert pool.exhausted is False
+
+    @pytest.mark.parametrize("limit, exhausted", [(5, False), (6, True)])
+    def test_limit_at_and_above_pool_size(self, limit, exhausted):
+        # the full gap-1.0 pool has 5 entries; holding exactly `limit` of them
+        # cannot claim that no sixth exists, so only limit=6 is exhausted
+        pool = enumerate_binary(knapsack(), BINARIES, SublevelSpec(gap=1.0), limit=limit)
+        assert pool.assignments == [(1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+        assert pool.exhausted is exhausted
+
+    def test_binary_fixed_by_its_bounds_is_never_flipped(self):
+        # a in [0, 0]: gap 5 on z*=0 admits every assignment of b, none with a=1
+        model = LpModel(
+            variables=[Variable("a", 0.0, 0.0), Variable("b", 0.0, 1.0)],
+            objective=Objective("min", {"a": 1.0, "b": 1.0}),
+        )
+        pool = enumerate_binary(model, ("a", "b"), SublevelSpec(gap=5.0))
+        assert pool.assignments == [(0, 0), (0, 1)]
+        assert pool.values == pytest.approx([0.0, 1.0])
+        assert pool.exhausted is True
+
+    def test_mixed_continuous_and_binary_pool(self):
+        # gap 1.5 on z*=-2 gives tau = -2 + 1.5*2 = 1: both on=1 (-2) and on=0 (0)
+        pool = enumerate_binary(on_flow(), ("on",), SublevelSpec(gap=1.5))
+        assert pool.names == ("on",)
+        assert pool.assignments == [(1,), (0,)]
+        assert pool.values == pytest.approx([-2.0, 0.0], abs=1e-9)
+        assert pool.tau == pytest.approx(1.0)
+        assert pool.exhausted is True
+        # an absolute level between the two values keeps only on=1
+        assert enumerate_binary(on_flow(), ("on",), SublevelSpec(tau=-0.5)).assignments == [(1,)]
 
     def test_limit_below_one_rejected(self):
         with pytest.raises(ValueError, match="limit"):

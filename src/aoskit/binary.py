@@ -1,8 +1,9 @@
-"""Branch-and-bound for binary programs and single-tree solution pools."""
+"""One branch-and-bound tree for binary optima and their solution pools."""
 from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,62 +47,90 @@ def _first_fractional(x: np.ndarray, idx: list[int]) -> int | None:
     return next((pos for pos, j in enumerate(idx) if abs(x[j] - round(x[j])) > INT_TOL), None)
 
 
-def _children(model: LpModel, fixes: dict[str, int], name: str) -> list[dict[str, int]]:
-    """Nodes fixing ``name`` within its own bounds, pushed so LIFO explores 0 first.
+def _children(model: LpModel, fixes: dict[str, int], name: str, first: int) -> list[dict[str, int]]:
+    """Nodes fixing ``name`` within its own bounds, pushed so LIFO explores ``first`` first.
 
     ``_fix_variables`` replaces bounds, so an out-of-bounds value must not be a child.
     """
     v = model.variables[model.variable_index(name)]
-    return [{**fixes, name: val} for val in (1, 0) if v.lower - INT_TOL <= val <= v.upper + INT_TOL]
+    return [{**fixes, name: val} for val in (1 - first, first) if v.lower - INT_TOL <= val <= v.upper + INT_TOL]
+
+
+def _tree(model: LpModel, names: tuple[str, ...], spec: SublevelSpec, limit: int):
+    """Depth-first branch and bound keeping the best ``limit`` fully fixed leaves.
+
+    Branches on the lowest-index fractional binary, 0 first. At an integral
+    relaxation it branches on the lowest-index unfixed binary, and the child
+    keeping the relaxation's value goes first, reusing the parent's result
+    when that value is exact. Keys are ``sign * value``. Once a leaf is found,
+    a key above the level of the root or of the best leaf, whichever is
+    worse, is pruned (``resolve`` falls as z falls when gap > 1 and z < -1).
+    Once ``limit`` leaves are held, so is a key that does not beat the worst
+    by more than ``VALUE_TOL``: the first leaf found wins a tie.
+
+    Returns the ``(assignment, result)`` pairs within ``tau``, best first,
+    ``tau`` (None without a leaf) and the LP count. A numerically failed
+    solve ends the walk and is returned as the only pair.
+    """
+    idx = [model.variable_index(n) for n in names]
+    sense = model.objective.sense
+    sign = 1.0 if sense == "min" else -1.0
+    leaves: list[tuple[float, tuple[int, ...], SimplexResult]] = []  # ascending (key, assignment)
+    root_level = level = math.inf
+    solves = 0
+
+    def pruned(key: float) -> bool:
+        return key > level + VALUE_TOL or (len(leaves) == limit and key >= leaves[-1][0] - VALUE_TOL)
+
+    stack: list[tuple[dict[str, int], float, SimplexResult | None]] = [({}, -math.inf, None)]
+    while stack:
+        fixes, parent_key, res = stack.pop()
+        if pruned(parent_key):
+            continue
+        if res is None:
+            res = solve_model(_fix_variables(model, fixes))
+            solves += 1
+            if res.status == NUMERIC_FAILURE:
+                return [((), res)], None, solves
+        if res.status != OPTIMAL:
+            continue
+        key = sign * res.value
+        if pruned(key):
+            continue
+        if not fixes:
+            root_level = sign * spec.resolve(res.value, sense)
+        if len(fixes) == len(names):
+            bisect.insort(leaves, (key, tuple(fixes[n] for n in names), res), key=lambda leaf: leaf[:2])
+            del leaves[limit:]
+            level = max(root_level, sign * spec.resolve(leaves[0][2].value, sense))
+            continue
+        pos = _first_fractional(res.x, idx)
+        first = 0
+        if pos is None:
+            pos = next(p for p, n in enumerate(names) if n not in fixes)
+            first = int(round(res.x[idx[pos]]))
+        for child in _children(model, fixes, names[pos], first):
+            stack.append((child, key, res if res.x[idx[pos]] == child[names[pos]] else None))
+
+    if not leaves:
+        return [], None, solves
+    tau = spec.resolve(leaves[0][2].value, sense)
+    return [(a, r) for k, a, r in leaves if k <= sign * tau + VALUE_TOL], tau, solves
 
 
 def solve_binary(model: LpModel, binary_vars) -> SimplexResult:
     """Optimal point with the named variables restricted to {0, 1}.
 
-    Depth-first branch and bound over the LP relaxation: branch on the
-    lowest-index fractional binary, explore the 0-branch first, prune on
-    bound; the first incumbent wins objective ties.
+    The pool tree at gap 0 holding one leaf: depth-first branch and bound
+    over the LP relaxation, lowest-index fractional binary first, 0-branch
+    first, pruned on bound; the first incumbent wins objective ties.
     """
-    names = _checked_binary_names(model, binary_vars)
-    sense = model.objective.sense
-    idx = [model.variable_index(n) for n in names]
-
-    best: SimplexResult | None = None
-
-    def worse_or_equal(value: float) -> bool:
-        """True when a relaxation bound cannot strictly beat the incumbent."""
-        assert best is not None
-        if sense == "min":
-            return value >= best.value - VALUE_TOL
-        return value <= best.value + VALUE_TOL
-
-    stack: list[dict[str, int]] = [{}]
-    relaxations_solved = 0
-    while stack:
-        fixes = stack.pop()
-        res = solve_model(_fix_variables(model, fixes))
-        relaxations_solved += 1
-        if res.status == NUMERIC_FAILURE:
-            return res
-        if res.status != OPTIMAL:
-            continue
-        if best is not None and worse_or_equal(res.value):
-            continue
-        frac = _first_fractional(res.x, idx)
-        if frac is None:
-            # integral relaxation: re-solve with binaries pinned for a clean completion
-            snapped = dict(fixes)
-            for pos, j in enumerate(idx):
-                snapped[names[pos]] = int(round(res.x[j]))
-            clean = solve_model(_fix_variables(model, snapped))
-            if clean.status == OPTIMAL and (best is None or not worse_or_equal(clean.value)):
-                best = clean
-            continue
-        stack.extend(_children(model, fixes, names[frac]))
-
-    if best is None:
+    leaves, _, solves = _tree(model, _checked_binary_names(model, binary_vars), SublevelSpec(gap=0.0), 1)
+    if not leaves:
         return SimplexResult(status=INFEASIBLE, message="no binary assignment is feasible")
-    best.message = f"branch-and-bound over {relaxations_solved} LP relaxations"
+    best = leaves[0][1]
+    if best.status == OPTIMAL:
+        best.message = f"branch-and-bound over {solves} LP relaxations"
     return best
 
 
@@ -143,52 +172,23 @@ def enumerate_binary(
 ) -> BinarySolutionPool:
     """All binary-feasible assignments within the sublevel of ``spec``.
 
-    ``solve_binary`` finds the optimum that ``spec`` resolves to the level
-    ``tau``. One depth-first tree then prunes every node whose relaxation is
-    worse than ``tau`` or, once ``limit`` entries are held, worse than the
-    worst of them. A node whose relaxation is integral still branches on its
-    lowest-index unfixed binary, because other assignments within the level
-    can lie below it; every fully fixed leaf within the bound is an entry.
-    Entries are sorted best objective first, ties by assignment
-    lexicographically, and the best ``limit`` are kept.
+    One depth-first tree finds the optimum and the pool together: ``tau`` is
+    resolved from the best fully fixed leaf, and the level a node is pruned
+    at follows the incumbent. Entries are sorted best objective first, ties
+    by assignment lexicographically, and the best ``limit`` are kept; a tie
+    within ``VALUE_TOL`` at the ``limit`` boundary keeps the assignment
+    found first, not the lexicographically smallest.
     """
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     names = _checked_binary_names(model, binary_vars)
-    idx = [model.variable_index(n) for n in names]
-    sense = model.objective.sense
-
-    first = solve_binary(model, names)
-    if first.status == NUMERIC_FAILURE:
-        raise ArithmeticError(f"binary solve failed: {first.message}")
-    if first.status != OPTIMAL:
-        return BinarySolutionPool(names, [], [], tau=None, exhausted=True)
-    tau = spec.resolve(first.value, sense)
-
-    sign = 1.0 if sense == "min" else -1.0
-    entries: list[tuple[float, tuple[int, ...]]] = []  # (sign * value, assignment), ascending
-    stack: list[dict[str, int]] = [{}]
-    while stack:
-        fixes = stack.pop()
-        res = solve_model(_fix_variables(model, fixes))
-        if res.status == NUMERIC_FAILURE:
-            raise ArithmeticError(f"binary solve failed: {res.message}")
-        bound = entries[-1][0] if len(entries) == limit else sign * tau
-        if res.status != OPTIMAL or sign * res.value > bound + VALUE_TOL:
-            continue
-        if len(fixes) == len(names):
-            bisect.insort(entries, (sign * res.value, tuple(fixes[n] for n in names)))
-            del entries[limit:]
-            continue
-        pos = _first_fractional(res.x, idx)
-        if pos is None:
-            pos = next(p for p, n in enumerate(names) if n not in fixes)
-        stack.extend(_children(model, fixes, names[pos]))
-
+    leaves, tau, _ = _tree(model, names, spec, limit)
+    if leaves and leaves[0][1].status == NUMERIC_FAILURE:
+        raise ArithmeticError(f"binary solve failed: {leaves[0][1].message}")
     return BinarySolutionPool(
         names=names,
-        assignments=[a for _, a in entries],
-        values=[sign * key for key, _ in entries],
+        assignments=[a for a, _ in leaves],
+        values=[r.value for _, r in leaves],
         tau=tau,
-        exhausted=len(entries) < limit,
+        exhausted=len(leaves) < limit,
     )

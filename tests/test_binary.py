@@ -7,8 +7,10 @@ from aoskit import (
     Constraint,
     LpModel,
     Objective,
+    SimplexResult,
     SublevelSpec,
     Variable,
+    binary,
     enumerate_binary,
     solve_binary,
 )
@@ -170,6 +172,46 @@ class TestEnumerateBinary:
         assert pool.exhausted is True
         # an absolute level between the two values keeps only on=1
         assert enumerate_binary(on_flow(), ("on",), SublevelSpec(tau=-0.5)).assignments == [(1,)]
+        # a level below the optimum keeps no entry, but still reports its tau
+        empty = enumerate_binary(on_flow(), ("on",), SublevelSpec(tau=-3.0))
+        assert empty.assignments == []
+        assert empty.tau == -3.0
+        assert empty.exhausted is True
+
+    def test_ties_at_the_limit_keep_the_first_found(self, monkeypatch):
+        # min sum(x) s.t. sum(x) >= 1 on 10 binaries: 10 assignments tie at value 1
+        names = tuple(f"x{j}" for j in range(10))
+        model = LpModel(
+            variables=[Variable(n, 0.0, 1.0) for n in names],
+            constraints=[Constraint({n: 1.0 for n in names}, ">=", 1.0)],
+            objective=Objective("min", {n: 1.0 for n in names}),
+        )
+        solve, solves = binary.solve_model, []
+
+        def counted(m):
+            solves.append(m)
+            return solve(m)
+
+        monkeypatch.setattr(binary, "solve_model", counted)
+        pool = enumerate_binary(model, names, GAP0, limit=3)
+        assert len(solves) <= 25
+        monkeypatch.undo()
+        ones = [tuple(int(k == j) for k in range(10)) for j in range(10)]
+        assert len(pool) == 3
+        assert set(pool.assignments) <= set(ones)
+        assert pool.values == pytest.approx([1.0] * 3)
+        assert pool.exhausted is False
+        full = enumerate_binary(model, names, GAP0)
+        assert full.assignments == sorted(ones)
+        assert full.exhausted is True
+        assert solve_binary(model, names).x[0] == 1.0
+
+    def test_numeric_failure_is_returned_or_raised(self, monkeypatch):
+        failed = SimplexResult(status="numeric_failure", message="synthetic")
+        monkeypatch.setattr(binary, "solve_model", lambda m: failed)
+        assert solve_binary(knapsack(), BINARIES) is failed
+        with pytest.raises(ArithmeticError, match="synthetic"):
+            enumerate_binary(knapsack(), BINARIES, GAP0)
 
     def test_limit_below_one_rejected(self):
         with pytest.raises(ValueError, match="limit"):
@@ -210,7 +252,8 @@ class TestEnumerateBinary:
 
 
 class TestAgainstExhaustiveScan:
-    @pytest.mark.parametrize("gap", [0.0, 0.05])
+    # gaps above 1 make the level fall as a negative optimum falls
+    @pytest.mark.parametrize("gap", [0.0, 0.05, 1.5, 3.0])
     def test_random_programs_match_scan(self, gap):
         rng = np.random.default_rng(100 + int(gap * 100))
         spec = SublevelSpec(gap=gap)

@@ -12,7 +12,8 @@ Exit codes:
 * 1   a containment check failed
 * 2   the model (or its sublevel set) is infeasible
 * 3   the feasible region is unbounded; re-run with ``--box-bound``
-* 4   enumeration was truncated by ``--limit`` or the basis budget
+* 4   enumeration was truncated by ``--limit`` or the basis budget, or a
+      basis was dropped for numerical trouble
 * 64  usage error: bad flags, unreadable input, schema violations
 * 70  numerical failure inside the solver
 

@@ -1,6 +1,7 @@
 """Finite point sets with canonical ordering, plus uniqueness certificates."""
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,8 +11,9 @@ def dedup_and_sort(points: np.ndarray, dedup_tol: float) -> tuple[np.ndarray, np
     """Lexicographically sorted points with near-duplicates removed.
 
     Two points clash when their max coordinate difference is at most
-    ``dedup_tol``; the lexicographically smallest of a clash group wins.
-    Returns (kept points, indices of the kept points in the input array).
+    ``dedup_tol``; in lexicographic order, a point is kept unless it clashes
+    with a point kept before it. Returns (kept points, indices of the kept
+    points in the input array).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -20,14 +22,19 @@ def dedup_and_sort(points: np.ndarray, dedup_tol: float) -> tuple[np.ndarray, np
         return pts.copy(), np.zeros(0, dtype=int)
     pts = pts + 0.0  # normalize -0.0 so sorting and output are sign-stable
     order = np.lexsort(pts.T[::-1])
-    kept_rows: list[np.ndarray] = []
+    kept = np.empty_like(pts)
+    firsts: list[float] = []  # kept first coordinates, ascending in lexicographic order
     kept_src: list[int] = []
     for src in order:
         p = pts[src]
-        if all(np.abs(p - q).max() > dedup_tol for q in kept_rows):
-            kept_rows.append(p)
+        # a clash needs the first coordinates within dedup_tol; the window
+        # is twice as wide so that rounding in p[0] - dedup_tol loses none
+        lo = bisect.bisect_left(firsts, p[0] - 2.0 * dedup_tol)
+        if lo == len(firsts) or np.abs(kept[lo : len(firsts)] - p).max(axis=1).min() > dedup_tol:
+            kept[len(firsts)] = p
+            firsts.append(p[0])
             kept_src.append(int(src))
-    return np.array(kept_rows), np.array(kept_src, dtype=int)
+    return kept[: len(firsts)].copy(), np.array(kept_src, dtype=int)
 
 
 @dataclass

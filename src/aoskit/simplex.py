@@ -50,25 +50,35 @@ def ratio_test(lower, upper, xb, rate) -> tuple[np.ndarray, float]:
     values; ``rate[i]`` is d(xb[i])/dt for a unit step t of the entering
     move. Rates within TOL_PIVOT of zero never block. Returns (per-row
     ratios, smallest ratio), with inf for an unblocked row or an empty basis.
+    A 2-D ``rate`` holds one column per entering move; the ratios then have
+    its shape and the smallest ratio is an array, one per column.
     """
+    if rate.ndim == 2:
+        lower, upper, xb = (np.broadcast_to(v[:, None], rate.shape) for v in (lower, upper, xb))
     rises = (rate > TOL_PIVOT) & np.isfinite(upper)
     falls = (rate < -TOL_PIVOT) & np.isfinite(lower)
-    ratios = np.full(len(rate), np.inf)
+    ratios = np.full(rate.shape, np.inf)
     ratios[rises] = (upper[rises] - xb[rises]) / rate[rises]
     ratios[falls] = (xb[falls] - lower[falls]) / -rate[falls]
     ratios = np.maximum(ratios, 0.0)  # degenerate overshoot clamps to zero
+    if rate.ndim == 2:
+        return ratios, ratios.min(axis=0, initial=np.inf)
     return ratios, (float(ratios.min()) if ratios.size else math.inf)
 
 
-def _tied(ratios: np.ndarray, t: float) -> np.ndarray:
-    """Rows whose ratio ties the smallest one, ``t``."""
-    return np.nonzero(ratios <= t * (1 + 1e-9) + 1e-12)[0]
+def _tied(ratios: np.ndarray, t):
+    """Mask of the rows whose ratio ties the smallest one, ``t``."""
+    return ratios <= t * (1 + 1e-9) + 1e-12
 
 
-def leaving_row(ratios: np.ndarray, t: float, w: np.ndarray) -> int:
-    """Among the rows tied at the smallest ratio, the largest pivot |w[r]|."""
-    tied = _tied(ratios, t)
-    return int(tied[np.argmax(np.abs(w[tied]))])
+def leaving_row(ratios: np.ndarray, t, w: np.ndarray):
+    """Among the rows tied at the smallest ratio, the largest pivot |w[r]|.
+
+    With 2-D ``ratios`` and ``w`` (one column per entering move, as
+    :func:`ratio_test` returns them) and ``t`` per column, one row per column.
+    """
+    r = np.argmax(np.where(_tied(ratios, t), np.abs(w), -1.0), axis=0)
+    return int(r) if r.ndim == 0 else r
 
 
 @dataclass
@@ -180,7 +190,7 @@ class _BoundedSimplex:
             return None
 
         if self.bland:
-            tied = _tied(ratios, t_basic)
+            tied = np.nonzero(_tied(ratios, t_basic))[0]
             r = int(tied[np.argmin(np.array(self.basis)[tied])])
         else:
             r = leaving_row(ratios, t_basic, w)

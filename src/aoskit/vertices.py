@@ -2,12 +2,18 @@
 
 Two independent routes to the same answer:
 
-* :func:`enumerate_vertices` walks the basis graph: starting from one
-  optimal basis it breadth-first explores every feasible single pivot and
-  bound flip, merging degenerate bases by geometric point. Its basic-point
-  solve, ratio test and leaving-row rule are the simplex's own
+* :func:`enumerate_vertices` walks the vertex graph: starting from one
+  optimal vertex it breadth-first visits each vertex once, at one basis,
+  and follows each of its edges. The edges are the extreme rays of the
+  vertex's tangent cone. Where no basic variable rests on a bound they are
+  the single pivots and bound flips; at a degenerate vertex they are the
+  vertices of a cross-section of the cone, walked the same way one
+  dimension down. (Avis & Fukuda 1992, "A pivoting algorithm for convex
+  hulls and vertex enumeration of arrangements and polyhedra", likewise
+  enumerate vertices rather than bases.) Its basic-point solve, ratio test
+  and leaving-row rule are the simplex's own
   (:func:`~aoskit.simplex.basic_point`, :func:`~aoskit.simplex.ratio_test`,
-  :func:`~aoskit.simplex.leaving_row`), so both walk the same bases.
+  :func:`~aoskit.simplex.leaving_row`).
 * :func:`brute_force_vertices` intersects every n-subset of constraint,
   bound, and level-cut hyperplanes and keeps the feasible solutions. It is
   slower but has no pivoting logic to get wrong, so it serves as the
@@ -26,17 +32,26 @@ from .sets import UniquenessCertificate, VertexSet
 from .simplex import (
     INFEASIBLE,
     NUMERIC_FAILURE,
+    OPTIMAL,
     TOL_PIVOT,
     UNBOUNDED,
     basic_point,
     leaving_row,
     ratio_test,
     solve_model,
+    solve_standard,
 )
 from .standard_form import StandardForm
 from .sublevel import SublevelSpec, make_sublevel_model
 
 _BOX_HINT = "the region is unbounded; call apply_box_bounds on the model first"
+# a basic variable within this distance of a bound, relative to 1 + |bound|,
+# rests on it; rounding noise on the benchmark networks and random LPs stayed
+# below it, and the nearest points off a bound lay ten times further out
+_AT_BOUND = 1e-9
+# distance at which two points of a tangent cone's cross-section, whose
+# coordinates sum to 1, are one vertex
+_CONE_TOL = 1e-9
 
 
 class EnumerationError(RuntimeError):
@@ -91,44 +106,280 @@ def _crash_free_columns(sf: StandardForm, basis: list[int], st: np.ndarray):
             )
 
 
-def _neighbors(sf: StandardForm, basis: list[int], st: np.ndarray, x: np.ndarray, order):
-    """All nodes one feasible pivot or bound flip away from (basis, st)."""
-    basis_set = set(basis)
-    nonbasic = [j for j in range(sf.n) if j not in basis_set and sf.lower[j] != sf.upper[j]]
-    if order is not None:
-        nonbasic = list(nonbasic)
-        order.shuffle(nonbasic)
-    W = np.linalg.solve(sf.A[:, basis], sf.A[:, nonbasic]) if basis and nonbasic else None
-    lower_b, upper_b, xb = sf.lower[basis], sf.upper[basis], x[basis]
-    out = []
-    for k, j in enumerate(nonbasic):
-        direction = 1.0 if st[j] == "L" else -1.0
-        w = W[:, k] if W is not None else np.zeros(len(basis))
+def _at_bounds(x: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Masks of the entries of x resting on their lower and upper bounds."""
+    at_lower = np.isfinite(lower) & (x - lower <= _AT_BOUND * (1.0 + np.abs(lower)))
+    at_upper = np.isfinite(upper) & (upper - x <= _AT_BOUND * (1.0 + np.abs(upper)))
+    return at_lower, at_upper
+
+
+class _PointIndex:
+    """Points looked up by max-coordinate distance ``tol``.
+
+    Points are hashed by their coordinates rounded to cells far wider than
+    ``tol``. A lookup also probes the neighbouring cell of every coordinate
+    lying within twice ``tol`` of a cell edge, so it sees every stored point
+    within ``tol``; when many coordinates lie that close, it scans instead.
+    """
+
+    _MAX_NEAR = 8
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.cell = 1024.0 * tol if tol > 0 else 1.0
+        self.cells: dict[bytes, list[int]] = {}
+        self.points: list[np.ndarray] = []
+
+    def _cell(self, y: np.ndarray):
+        s = y / self.cell + 0.5
+        base = np.floor(s)
+        return base, (s - base) * self.cell
+
+    def find(self, y: np.ndarray) -> int | None:
+        """Index of a stored point within ``tol`` of y, or None."""
+        base, offset = self._cell(y)
+        down = offset <= 2.0 * self.tol
+        near = np.nonzero(down | (self.cell - offset <= 2.0 * self.tol))[0]
+        if near.size > self._MAX_NEAR:
+            candidates = range(len(self.points))
+        else:
+            keys = [base]
+            for i in near:
+                shifted = [k.copy() for k in keys]
+                for k in shifted:
+                    k[i] += -1.0 if down[i] else 1.0
+                keys += shifted
+            candidates = (p for k in keys for p in self.cells.get(k.tobytes(), ()))
+        for p in candidates:
+            if np.abs(self.points[p] - y).max() <= self.tol:
+                return p
+        return None
+
+    def add(self, y: np.ndarray) -> int:
+        base, _ = self._cell(y)
+        self.cells.setdefault(base.tobytes(), []).append(len(self.points))
+        self.points.append(y)
+        return len(self.points) - 1
+
+
+class _Walk:
+    """State shared by one enumeration and every cone walk it starts."""
+
+    def __init__(self, order: np.random.Generator | None, max_bases: int):
+        self.order = order
+        self.max_bases = max_bases
+        self.bases = 0  # bases whose edges were computed, cone walks included
+        self.rejected = 0  # bases dropped: singular, or their point infeasible
+
+    def point(self, sf: StandardForm, basis: list[int], st: np.ndarray) -> np.ndarray | None:
+        """The basic point of (basis, st), with basic variables resting on a
+        bound moved onto it; None, counted, if the point is unusable."""
+        try:
+            x = basic_point(sf.A, sf.b, sf.lower, sf.upper, basis, st)
+        except np.linalg.LinAlgError:
+            self.rejected += 1
+            return None
+        if sf.max_violation(x) > 1e-7:
+            self.rejected += 1
+            return None
+        at_lower, at_upper = _at_bounds(x, sf.lower, sf.upper)
+        x[at_lower] = sf.lower[at_lower]
+        x[at_upper] = sf.upper[at_upper]
+        return x
+
+    def vertices(self, sf: StandardForm, basis: list[int], st: np.ndarray, limit: float, tol: float):
+        """Breadth-first walk over the vertices of sf's polytope.
+
+        Starts at the vertex of (basis, st). Vertices are told apart by their
+        first ``sf.n_original`` coordinates at max-coordinate distance
+        ``tol``. Returns ([(point, basis, statuses)] with one basis per
+        vertex, the truncation reason or None).
+        """
+        x = self.point(sf, basis, st)
+        if x is None:
+            return [], None
+        n0 = sf.n_original
+        index = _PointIndex(tol)
+        index.add(x[:n0])
+        found = [(x, basis, st)]
+        landed = {st.tobytes(): 0}  # vertex of every basis reached; -1 if dropped
+        queue = deque([(0, basis, st, x)])
+        while queue:
+            if self.bases >= self.max_bases:
+                return found, "basis budget"
+            self.bases += 1
+            vid, basis, st, x = queue.popleft()
+            moves, truncated = self._edges(sf, basis, st, x)
+            if truncated:
+                return found, truncated
+            for new_basis, new_st in moves:
+                key = new_st.tobytes()
+                if key in landed:
+                    continue
+                y = self.point(sf, new_basis, new_st)
+                if y is None:
+                    landed[key] = -1
+                    continue
+                hit = index.find(y[:n0])
+                if hit is None:
+                    hit = index.add(y[:n0])
+                    found.append((y, new_basis, new_st))
+                    if len(found) > limit:
+                        return found[:-1], "vertex limit"
+                    queue.append((hit, new_basis, new_st, y))
+                elif hit == vid:
+                    # an edge shorter than tol: its far end is another basis
+                    # of this vertex, whose own edges may lead elsewhere
+                    queue.append((vid, new_basis, new_st, y))
+                landed[key] = hit
+        return found, None
+
+    def _edges(self, sf: StandardForm, basis: list[int], st: np.ndarray, x: np.ndarray):
+        """One (basis, statuses) at the far end of each edge of the vertex x.
+
+        (basis, st) is a basis at x. The edges are the extreme rays of x's
+        tangent cone. A nonbasic column that moves no basic variable resting
+        on a bound is one; when no basic variable rests on a bound, those
+        are all. The rest come from :meth:`_cone_moves`.
+        """
+        basis_set = set(basis)
+        nonbasic = [j for j in range(sf.n) if j not in basis_set and sf.lower[j] != sf.upper[j]]
+        if not nonbasic:
+            return [], None
+        if self.order is not None:
+            self.order.shuffle(nonbasic)
+        W = np.linalg.solve(sf.A[:, basis], sf.A[:, nonbasic]) if basis else np.zeros((0, len(nonbasic)))
+        sign = np.where(st[nonbasic] == "U", -1.0, 1.0)
+        at_lower, at_upper = _at_bounds(x[basis], sf.lower[basis], sf.upper[basis])
+        rows = np.nonzero(at_lower | at_upper)[0]
+        # G[i, k] >= 0 (== 0 when fixed): column k's move keeps basic
+        # variable rows[i] on the feasible side of the bound it rests on
+        G = -W[rows] * sign * np.where(at_lower[rows], 1.0, -1.0)[:, None]
+        G[np.abs(G) <= TOL_PIVOT] = 0.0  # rates the ratio test ignores
+        moving = G.any(axis=0)
+        direct = np.nonzero(~moving)[0]
+        out = self._direct_moves(sf, x, basis, st, [nonbasic[k] for k in direct], sign[direct], W[:, direct])
+        if moving.any():
+            involved = G[:, moving].any(axis=1)
+            cone, truncated = self._cone_moves(
+                basis, st, [nonbasic[k] for k in np.nonzero(moving)[0]], sign[moving],
+                G[involved][:, moving], rows[involved], at_lower, at_upper,
+            )
+            if truncated:
+                return [], truncated
+            out += [far for far in (self._cone_move(sf, x, *move) for move in cone) if far is not None]
+        return out, None
+
+    def _direct_moves(self, sf, x, basis, st, cols, sign, W):
+        """The far end of each move of a nonbasic column in ``cols`` from
+        (basis, st), all ratio tests at once; ``W`` holds B^-1 A_j."""
+        if not cols:
+            return []
+        rate = -W * sign
+        ratios, t_basic = ratio_test(sf.lower[basis], sf.upper[basis], x[basis], rate)
+        own_range = sf.upper[cols] - sf.lower[cols]
+        ray = ~np.isfinite(t_basic) & ~np.isfinite(own_range)
+        if ray.any():
+            j = cols[int(np.argmax(ray))]
+            raise UnboundedRegionError(f"feasible ray through column {sf.col_names[j]!r}; " + _BOX_HINT)
+        flip = own_range <= t_basic
+        leave = leaving_row(ratios, t_basic, W) if basis else None
+        out = []
+        for k, j in enumerate(cols):
+            r = None if flip[k] else int(leave[k])
+            out.append(_land(basis, st, j, sign[k], r, 0.0 if r is None else rate[r, k]))
+        return out
+
+    def _cone_moves(self, basis, st, cols, sign, G, rows, at_lower, at_upper):
+        """A basis at x and an entering column for each edge of x's tangent
+        cone that moves a basic variable resting on a bound.
+
+        With u >= 0 a step along the nonbasic columns ``cols``, each oriented
+        away from its bound, the basic variables of ``rows`` stay feasible
+        iff G u >= 0. The cone's cross-section Q = {u >= 0, sum(u) = 1,
+        G u >= 0} is walked as a polytope of its own, with slacks s = G u.
+        At a vertex of Q, the columns with u > 0 or s > 0 are basic in Q.
+        Swapping the rows whose s is nonbasic for all but one basic u (the
+        largest) gives a basis at x where that one column's move runs along
+        the edge.
+        """
+        K, D = len(cols), rows.size
+        fixed = at_lower[rows] & at_upper[rows]
+        cone = StandardForm(
+            A=np.block([[G, -np.eye(D)], [np.ones((1, K)), np.zeros((1, D))]]),
+            b=np.append(np.zeros(D), 1.0),
+            c=np.zeros(K + D),
+            lower=np.zeros(K + D),
+            upper=np.append(np.full(K, np.inf), np.where(fixed, 0.0, np.inf)),
+            col_names=tuple(f"u[{k}]" for k in range(K)) + tuple(f"s[{i}]" for i in range(D)),
+            n_original=K,
+            sense_sign=1,
+            obj_constant=0.0,
+            row_origin=tuple(range(D + 1)),
+        )
+        unit = np.nonzero((G >= 0).all(axis=0) & (G[fixed] == 0).all(axis=0))[0]
+        if unit.size:
+            q_basis = [int(unit[0])] + list(range(K, K + D))
+            q_st = np.full(K + D, "L", dtype="<U1")
+            q_st[q_basis] = "B"
+        else:
+            res = solve_standard(cone)
+            if res.status == INFEASIBLE:
+                return [], None  # no such edge
+            if res.status != OPTIMAL or len(res.basis) != D + 1:
+                self.rejected += 1
+                return [], None
+            q_basis, q_st = sorted(res.basis), np.array(res.statuses, dtype="<U1")
+        rays, truncated = self.vertices(cone, q_basis, q_st, math.inf, _CONE_TOL)
+        moves = []
+        for u, q_basis, _ in rays:
+            in_u = [p for p in q_basis if p < K]
+            e = max(in_u, key=lambda p: u[p])
+            kept = {p - K for p in q_basis if p >= K}
+            out_rows = (rows[i] for i in range(D) if i not in kept)
+            new_basis, new_st = list(basis), st.copy()
+            for r, p in zip(out_rows, (p for p in in_u if p != e)):
+                new_st[basis[r]] = "L" if at_lower[r] else "U"
+                new_basis[r] = cols[p]
+                new_st[cols[p]] = "B"
+            moves.append((sorted(new_basis), new_st, cols[e], sign[e]))
+        return moves, truncated
+
+    def _cone_move(self, sf, x, basis, st, j, direction):
+        """The far end of column j's move from a basis at x that the tangent
+        cone gave. Basic variables on a bound may be among the basis; the
+        cone keeps the move on their feasible side, so a rate towards that
+        bound is noise."""
+        xb, lb, ub = x[basis], sf.lower[basis], sf.upper[basis]
+        try:
+            w = np.linalg.solve(sf.A[:, basis], sf.A[:, j])
+        except np.linalg.LinAlgError:
+            self.rejected += 1
+            return None
         rate = -direction * w
-        ratios, t_basic = ratio_test(lower_b, upper_b, xb, rate)
+        at_lower, at_upper = _at_bounds(xb, lb, ub)
+        rate[(at_lower & (rate < 0)) | (at_upper & (rate > 0))] = 0.0
+        ratios, t_basic = ratio_test(lb, ub, xb, rate)
         own_range = sf.upper[j] - sf.lower[j]
         if not math.isfinite(t_basic) and not math.isfinite(own_range):
-            raise UnboundedRegionError(
-                f"feasible ray through column {sf.col_names[j]!r}; " + _BOX_HINT
-            )
-        tie = 1e-9 * (1.0 + abs(min(t_basic, own_range))) + 1e-12
-        if math.isfinite(own_range) and own_range <= t_basic + tie:
-            flipped = st.copy()
-            flipped[j] = "U" if st[j] == "L" else "L"
-            out.append((tuple(basis), tuple(flipped)))
-        if math.isfinite(t_basic) and t_basic <= own_range + tie:
-            for r in np.nonzero(ratios <= t_basic + tie)[0]:
-                if abs(w[r]) <= TOL_PIVOT:
-                    continue
-                leaving = basis[r]
-                new_basis = sorted(b for b in basis if b != leaving)
-                new_basis.append(j)
-                new_basis.sort()
-                new_st = st.copy()
-                new_st[j] = "B"
-                new_st[leaving] = "U" if rate[r] > 0 else "L"
-                out.append((tuple(new_basis), tuple(new_st)))
-    return out
+            raise UnboundedRegionError(f"feasible ray through column {sf.col_names[j]!r}; " + _BOX_HINT)
+        if own_range <= t_basic:
+            return _land(basis, st, j, direction, None, 0.0)
+        r = leaving_row(ratios, t_basic, w)
+        return _land(basis, st, j, direction, r, rate[r])
+
+
+def _land(basis, st, j, direction, r, rate_r):
+    """(basis, statuses) after column j's move: a bound flip when ``r`` is
+    None, else a pivot on basis[r], which leaves at the bound its ``rate_r``
+    runs into."""
+    new_st = st.copy()
+    if r is None:
+        new_st[j] = "U" if direction > 0 else "L"
+        return basis, new_st
+    new_st[j] = "B"
+    new_st[basis[r]] = "U" if rate_r > 0 else "L"
+    return sorted(basis[:r] + basis[r + 1 :] + [j]), new_st
 
 
 def enumerate_vertices(
@@ -145,8 +396,11 @@ def enumerate_vertices(
     The sublevel model is built internally from ``z_star`` and ``spec``.
     Points are reported in the model's own variable space, deduplicated at
     ``dedup_tol``, and sorted. ``limit`` caps the number of distinct points;
-    hitting it (or ``max_bases`` explored bases) yields complete=False.
-    ``order_rng`` shuffles exploration order only; the result is identical.
+    finding more, or exploring ``max_bases`` bases (cone walks included),
+    yields complete=False. So does a basis dropped because its solve failed
+    or its point was infeasible: ``meta["rejected"]`` counts those, and
+    ``meta["truncated"]`` reads "numerical". ``order_rng`` shuffles
+    exploration order only; the result is identical.
     """
     sub = make_sublevel_model(model, z_star, spec)
     tau = sub.metadata["sublevel_tau"]
@@ -167,43 +421,16 @@ def enumerate_vertices(
 
     sf = res.sf
     basis, st = _crash_free_columns(sf, list(res.basis), np.array(res.statuses, dtype="<U1"))
+    walk = _Walk(order_rng, max_bases)
+    found, truncated = walk.vertices(sf, sorted(basis), st, limit, dedup_tol)
+    if truncated is None and walk.rejected:
+        truncated = "numerical"
 
-    start = (tuple(sorted(basis)), tuple(st))
-    visited = {start}
-    queue = deque([start])
-    collected: list[np.ndarray] = []
-    reps: list[np.ndarray] = []
-    truncated = None
-    while queue:
-        node_basis, node_st = queue.popleft()
-        basis_l = list(node_basis)
-        st_a = np.array(node_st, dtype="<U1")
-        try:
-            x = basic_point(sf.A, sf.b, sf.lower, sf.upper, basis_l, st_a)
-        except np.linalg.LinAlgError:
-            continue
-        if sf.max_violation(x) > 1e-7:
-            continue
-        collected.append(x)
-        if all(np.abs(x - r).max() > dedup_tol for r in reps):
-            reps.append(x)
-
-        for key in _neighbors(sf, basis_l, st_a, x, order_rng):
-            if key not in visited:
-                visited.add(key)
-                queue.append(key)
-
-        if len(reps) >= limit and queue:
-            truncated = "vertex limit"
-            break
-        if len(visited) > max_bases:
-            truncated = "basis budget"
-            break
-
-    meta["bases_visited"] = len(collected)
+    meta["bases_visited"] = walk.bases
+    meta["rejected"] = walk.rejected
     if truncated:
         meta["truncated"] = truncated
-    pts = np.array([sf.recover(x) for x in collected])
+    pts = np.array([sf.recover(x) for x, _, _ in found])
     c = model.objective_vector()
     objectives = pts @ c + model.objective.constant if len(pts) else []
     return VertexSet.from_points(

@@ -20,7 +20,7 @@ from aoskit import (
     solve_model,
 )
 from aoskit.cli import main
-from aoskit.simplex import TOL_PIVOT, basic_point, ratio_test
+from aoskit.simplex import TOL_PIVOT, basic_point, leaving_row, ratio_test
 
 from conftest import random_bounded_lp
 
@@ -346,6 +346,36 @@ def test_pivot_kernels_match_their_definitions(data):
     expected = reference_ratios(lo_b, up_b, xb, rate)
     assert ratios.tolist() == expected
     assert t == min(expected, default=math.inf)
+
+
+def scan_leaving_row(ratios, t, w):
+    """The leaving-row rule for one entering column, as a scan of the ties."""
+    tied = [i for i in range(len(ratios)) if ratios[i] <= t * (1 + 1e-9) + 1e-12]
+    return max(tied, key=lambda i: (abs(w[i]), -i))
+
+
+BOUNDS = st.one_of(st.floats(-50, 50), st.sampled_from([-math.inf, math.inf, 0.0]))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_column_wise_kernels_match_one_column_at_a_time(data):
+    m = data.draw(st.integers(1, 6), label="m")
+    k = data.draw(st.integers(1, 5), label="k")
+    ends = [sorted(data.draw(st.tuples(BOUNDS, BOUNDS))) for _ in range(m)]
+    lower = np.array([lo if lo < math.inf else -math.inf for lo, _ in ends])
+    upper = np.array([up if up > -math.inf else math.inf for _, up in ends])
+    xb = np.array(data.draw(st.lists(st.floats(-60, 60), min_size=m, max_size=m), label="xb"))
+    w = np.array(data.draw(st.lists(RATES, min_size=m * k, max_size=m * k), label="w")).reshape(m, k)
+    rate = -w
+
+    ratios, t = ratio_test(lower, upper, xb, rate)
+    rows = leaving_row(ratios, t, w)
+    for c in range(k):
+        ratios_c, t_c = ratio_test(lower, upper, xb, rate[:, c].copy())
+        assert ratios[:, c].tolist() == ratios_c.tolist()
+        assert t[c] == t_c
+        assert rows[c] == leaving_row(ratios_c, t_c, w[:, c]) == scan_leaving_row(ratios_c, t_c, w[:, c])
 
 
 # -- golden pivot paths --------------------------------------------------------

@@ -1,6 +1,14 @@
+import contextlib
+import io
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aoskit import vertices
 from aoskit import (
     Constraint,
     LpModel,
@@ -12,6 +20,7 @@ from aoskit import (
     apply_box_bounds,
     brute_force_vertices,
     build_dcopf,
+    build_network_flow,
     canonical_3bus,
     enumerate_vertices,
     is_in_convex_hull,
@@ -19,6 +28,8 @@ from aoskit import (
     make_sublevel_model,
     solve_model,
 )
+from aoskit.cli import main
+from aoskit.vertices import _PointIndex
 
 from conftest import random_bounded_lp
 
@@ -269,6 +280,124 @@ class TestTruncation:
         assert not vs.complete
         assert "budget" in vs.meta["truncated"]
 
+    def test_bases_visited_counts_explored_bases(self):
+        # a simple polygon has one basis per vertex, each explored once
+        vs = enumerate_vertices(self.many_vertex_model(), self.Z_STAR, self.WIDE)
+        assert vs.meta["bases_visited"] == 12
+        assert vs.meta["rejected"] == 0
+
+
+def flaky_basic_point(monkeypatch, fail_on: int):
+    """Make the walk's basic-point solve raise on its ``fail_on``-th call."""
+    calls = []
+    real = vertices.basic_point
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == fail_on:
+            raise np.linalg.LinAlgError("singular basis")
+        return real(*args)
+
+    monkeypatch.setattr(vertices, "basic_point", flaky)
+
+
+class TestNumericalDrops:
+    def test_dropped_basis_is_counted_and_truncates(self, monkeypatch):
+        flaky_basic_point(monkeypatch, fail_on=2)
+        m = TestTruncation().many_vertex_model()
+        vs = enumerate_vertices(m, TestTruncation.Z_STAR, TestTruncation.WIDE)
+        assert vs.meta["rejected"] == 1
+        assert vs.meta["truncated"] == "numerical"
+        assert not vs.complete
+        # the vertex has one basis, so it is lost, and the flag says so
+        assert len(vs) == 11
+
+    def test_cli_exits_4_on_a_dropped_basis(self, monkeypatch):
+        flaky_basic_point(monkeypatch, fail_on=2)
+        out = io.StringIO()
+        path = str(resources.files("aoskit") / "fixtures" / "canonical_3bus.json")
+        with contextlib.redirect_stdout(out):
+            code = main(["enumerate", path, "--gap", "0.05"])
+        assert code == 4
+        result = json.loads(out.getvalue())["result"]
+        assert result["complete"] is False
+        assert result["meta"]["truncated"] == "numerical"
+
+
+def apex_family(n: int, k: int, seed: int) -> LpModel:
+    """k random facets through an apex p of [0,1]^n, maximizing a strictly
+    positive combination of their normals: p is the unique optimum, and at
+    gap 0 every basis sits on it."""
+    rng = np.random.default_rng([n, k, seed])
+    names = [f"x{j}" for j in range(n)]
+    apex = rng.uniform(0.2, 0.8, size=n)
+    normals = rng.normal(size=(k, n))
+    c = rng.uniform(0.5, 1.5, size=k) @ normals
+    return LpModel(
+        variables=[Variable(nm, 0.0, 1.0) for nm in names],
+        constraints=[Constraint(dict(zip(names, map(float, a))), "<=", float(a @ apex)) for a in normals],
+        objective=Objective("max", dict(zip(names, map(float, c)))),
+    )
+
+
+APEX_FAMILIES = [(3, 6), (4, 8), (5, 9)]
+
+
+class TestDegenerateVertices:
+    @pytest.mark.parametrize("n,k", APEX_FAMILIES)
+    def test_apex_is_one_vertex_from_a_few_bases(self, n, k):
+        for seed in range(3):
+            m = apex_family(n, k, seed)
+            z = solve_model(m).value
+            vs = enumerate_vertices(m, z, GAP0)
+            assert len(vs) == 1
+            assert vs.complete
+            assert vs.meta["bases_visited"] <= 4
+            cert = is_unique_minimizer(m, z, GAP0)
+            assert cert.unique and cert.complete
+
+    @pytest.mark.parametrize("n,k", APEX_FAMILIES)
+    def test_apex_sublevel_matches_oracle_in_any_order(self, n, k):
+        for seed in range(3):
+            m = apex_family(n, k, seed)
+            z = solve_model(m).value
+            spec = SublevelSpec(gap=0.3)
+            vs = enumerate_vertices(m, z, spec)
+            bf = brute_force_vertices(m, z, spec)
+            assert vs.complete
+            assert vs.same_points(bf) and len(vs) == len(bf)
+            for order in (1, 2, 3):
+                shuffled = enumerate_vertices(m, z, spec, order_rng=np.random.default_rng(order))
+                assert shuffled.same_points(vs) and len(shuffled) == len(vs)
+
+    def test_vertices_closer_than_dedup_tol_do_not_stop_the_walk(self):
+        # the 12-gon with every corner cut 1e-8 deep: 24 vertices in pairs
+        # far closer than dedup_tol; each pair reports as one point, and the
+        # walk must go on past both of its members
+        m = TestTruncation().many_vertex_model()
+        radius = 1.0 / np.cos(np.pi / 12)
+        cuts = [
+            Constraint({"x": float(np.cos(a)), "y": float(np.sin(a))}, "<=", radius - 1e-8)
+            for a in np.linspace(0, 2 * np.pi, 12, endpoint=False) + np.pi / 12
+        ]
+        m = LpModel(variables=m.variables, constraints=list(m.constraints) + cuts, objective=m.objective)
+        vs = enumerate_vertices(m, TestTruncation.Z_STAR, TestTruncation.WIDE)
+        assert len(vs) == 12 and vs.complete
+        assert vs.same_points(brute_force_vertices(m, TestTruncation.Z_STAR, TestTruncation.WIDE))
+
+    @pytest.mark.parametrize("gap", [0.0, 0.05])
+    def test_canonical_verify_models_match_oracle(self, gap):
+        net = canonical_3bus()
+        dc = apply_box_bounds(build_dcopf(net), 1e4)
+        z = solve_model(dc).value
+        spec = SublevelSpec(tau=SublevelSpec(gap=gap).resolve(z, "min"))
+        nf = build_network_flow(net)
+        for m, z_m in ((dc, z), (nf, solve_model(nf).value)):
+            vs = enumerate_vertices(m, z_m, spec)
+            bf = brute_force_vertices(m, z_m, spec)
+            assert vs.complete
+            assert vs.same_points(bf) and len(vs) == len(bf)
+
 
 class TestInfeasibleSublevel:
     def test_empty_result_with_reason(self):
@@ -340,3 +469,34 @@ class TestVertexSetMeta:
         assert again.names == vs.names
         assert again.complete == vs.complete
         assert again.tau == pytest.approx(vs.tau)
+
+
+# ---------------------------------------------------------------------------
+# the walk's point index against a scan of every stored point
+
+INDEX_TOL = 1e-6
+EDGE = 1024.0 * INDEX_TOL  # the index's cell width; cell edges lie at (k + 0.5) * EDGE
+NEAR_EDGES = st.builds(
+    lambda k, off: (k + 0.5) * EDGE + off,
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.5, -2.5, 0.3 * 1024]).map(lambda f: f * INDEX_TOL),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.lists(NEAR_EDGES, min_size=d, max_size=d), min_size=1, max_size=30)
+))
+def test_point_index_finds_exactly_the_points_within_tol(rows):
+    index = _PointIndex(INDEX_TOL)
+    stored: list[np.ndarray] = []
+    for row in rows:
+        y = np.array(row)
+        close = [i for i, q in enumerate(stored) if np.abs(q - y).max() <= INDEX_TOL]
+        hit = index.find(y)
+        if close:
+            assert hit in close
+        else:
+            assert hit is None
+            assert index.add(y) == len(stored)
+            stored.append(y)

@@ -1,15 +1,22 @@
-"""One branch-and-bound tree for binary optima and their solution pools."""
+"""One branch-and-bound tree for binary optima and their solution pools.
+
+The tree builds one standard form and solves its root cold. A child differs
+from its parent only in one binary's bounds, so it copies the parent's
+bound arrays, fixes that column, and is re-optimised from the parent's
+optimal basis by a bounded dual simplex (:func:`simplex.solve_from`); a warm
+solve that fails numerically is repeated cold once.
+"""
 from __future__ import annotations
 
 import bisect
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import LpModel
-from .simplex import INFEASIBLE, NUMERIC_FAILURE, OPTIMAL, SimplexResult, solve_model
+from .simplex import INFEASIBLE, NUMERIC_FAILURE, OPTIMAL, SimplexResult, solve_from, solve_model, solve_standard
 from .sublevel import SublevelSpec
 
 INT_TOL = 1e-6
@@ -32,14 +39,28 @@ def _checked_binary_names(model: LpModel, binary_vars) -> tuple[str, ...]:
     return names
 
 
-def _fix_variables(model: LpModel, fixes: dict[str, int]) -> LpModel:
-    new_vars = []
-    for v in model.variables:
-        if v.name in fixes:
-            val = float(fixes[v.name])
-            v = dataclasses.replace(v, lower=val, upper=val)
-        new_vars.append(v)
-    return LpModel(new_vars, model.constraints, model.objective, metadata=model.metadata)
+def _counted(stats: dict, res: SimplexResult) -> SimplexResult:
+    stats["lp_solves"] += 1
+    stats["pivots"] += res.iterations
+    return res
+
+
+def _solve_child(parent: SimplexResult, j: int, value: int, stats: dict) -> SimplexResult:
+    """The parent's relaxation with standard-form column ``j`` fixed at ``value``.
+
+    A parent point already at ``value`` is the child's optimum and is reused
+    with the child's bounds. Otherwise the child is re-optimised from the
+    parent's basis, and re-solved cold once if that fails numerically.
+    """
+    lower, upper = parent.sf.lower.copy(), parent.sf.upper.copy()
+    lower[j] = upper[j] = float(value)
+    sf = dataclasses.replace(parent.sf, lower=lower, upper=upper)
+    if parent.x_std[j] == value:
+        return dataclasses.replace(parent, sf=sf)
+    res = _counted(stats, solve_from(sf, parent))
+    if res.status == NUMERIC_FAILURE:
+        res = _counted(stats, solve_standard(sf))
+    return res
 
 
 def _first_fractional(x: np.ndarray, idx: list[int]) -> int | None:
@@ -47,13 +68,13 @@ def _first_fractional(x: np.ndarray, idx: list[int]) -> int | None:
     return next((pos for pos, j in enumerate(idx) if abs(x[j] - round(x[j])) > INT_TOL), None)
 
 
-def _children(model: LpModel, fixes: dict[str, int], name: str, first: int) -> list[dict[str, int]]:
-    """Nodes fixing ``name`` within its own bounds, pushed so LIFO explores ``first`` first.
+def _children(model: LpModel, name: str, first: int) -> list[int]:
+    """Values fixing ``name`` within its own bounds, pushed so LIFO explores ``first`` first.
 
-    ``_fix_variables`` replaces bounds, so an out-of-bounds value must not be a child.
+    A fix replaces the bounds, so an out-of-bounds value must not be a child.
     """
     v = model.variables[model.variable_index(name)]
-    return [{**fixes, name: val} for val in (1 - first, first) if v.lower - INT_TOL <= val <= v.upper + INT_TOL]
+    return [val for val in (1 - first, first) if v.lower - INT_TOL <= val <= v.upper + INT_TOL]
 
 
 def _tree(model: LpModel, names: tuple[str, ...], spec: SublevelSpec, limit: int):
@@ -68,30 +89,37 @@ def _tree(model: LpModel, names: tuple[str, ...], spec: SublevelSpec, limit: int
     Once ``limit`` leaves are held, so is a key that does not beat the worst
     by more than ``VALUE_TOL``: the first leaf found wins a tie.
 
+    The root is solved cold through :func:`solve_model`, the tree's one
+    standard form; every other node through :func:`_solve_child`.
+
     Returns the ``(assignment, result)`` pairs within ``tau``, best first,
-    ``tau`` (None without a leaf) and the LP count. A numerically failed
-    solve ends the walk and is returned as the only pair.
+    ``tau`` (None without a leaf) and the counters ``lp_solves`` (every LP
+    solved, warm or cold) and ``pivots`` (their iterations). A node whose
+    solve fails numerically, cold as well, ends the walk and is returned as
+    the only pair.
     """
     idx = [model.variable_index(n) for n in names]
     sense = model.objective.sense
     sign = 1.0 if sense == "min" else -1.0
     leaves: list[tuple[float, tuple[int, ...], SimplexResult]] = []  # ascending (key, assignment)
     root_level = level = math.inf
-    solves = 0
+    stats = {"lp_solves": 0, "pivots": 0}
 
     def pruned(key: float) -> bool:
         return key > level + VALUE_TOL or (len(leaves) == limit and key >= leaves[-1][0] - VALUE_TOL)
 
-    stack: list[tuple[dict[str, int], float, SimplexResult | None]] = [({}, -math.inf, None)]
+    # (fixes, parent key, parent result, branched position); the root has no parent
+    stack: list[tuple[dict[str, int], float, SimplexResult | None, int]] = [({}, -math.inf, None, -1)]
     while stack:
-        fixes, parent_key, res = stack.pop()
+        fixes, parent_key, parent, pos = stack.pop()
         if pruned(parent_key):
             continue
-        if res is None:
-            res = solve_model(_fix_variables(model, fixes))
-            solves += 1
-            if res.status == NUMERIC_FAILURE:
-                return [((), res)], None, solves
+        if parent is None:
+            res = _counted(stats, solve_model(model))
+        else:
+            res = _solve_child(parent, idx[pos], fixes[names[pos]], stats)
+        if res.status == NUMERIC_FAILURE:
+            return [((), res)], None, stats
         if res.status != OPTIMAL:
             continue
         key = sign * res.value
@@ -109,13 +137,13 @@ def _tree(model: LpModel, names: tuple[str, ...], spec: SublevelSpec, limit: int
         if pos is None:
             pos = next(p for p, n in enumerate(names) if n not in fixes)
             first = int(round(res.x[idx[pos]]))
-        for child in _children(model, fixes, names[pos], first):
-            stack.append((child, key, res if res.x[idx[pos]] == child[names[pos]] else None))
+        for val in _children(model, names[pos], first):
+            stack.append(({**fixes, names[pos]: val}, key, res, pos))
 
     if not leaves:
-        return [], None, solves
+        return [], None, stats
     tau = spec.resolve(leaves[0][2].value, sense)
-    return [(a, r) for k, a, r in leaves if k <= sign * tau + VALUE_TOL], tau, solves
+    return [(a, r) for k, a, r in leaves if k <= sign * tau + VALUE_TOL], tau, stats
 
 
 def solve_binary(model: LpModel, binary_vars) -> SimplexResult:
@@ -125,12 +153,12 @@ def solve_binary(model: LpModel, binary_vars) -> SimplexResult:
     over the LP relaxation, lowest-index fractional binary first, 0-branch
     first, pruned on bound; the first incumbent wins objective ties.
     """
-    leaves, _, solves = _tree(model, _checked_binary_names(model, binary_vars), SublevelSpec(gap=0.0), 1)
+    leaves, _, stats = _tree(model, _checked_binary_names(model, binary_vars), SublevelSpec(gap=0.0), 1)
     if not leaves:
         return SimplexResult(status=INFEASIBLE, message="no binary assignment is feasible")
     best = leaves[0][1]
     if best.status == OPTIMAL:
-        best.message = f"branch-and-bound over {solves} LP relaxations"
+        best.message = f"branch-and-bound over {stats['lp_solves']} LP relaxations"
     return best
 
 
@@ -139,7 +167,9 @@ class BinarySolutionPool:
     """Alternative binary solutions within the level value, best first.
 
     ``exhausted`` is the completeness claim: True means no further feasible
-    binary assignment with objective within ``tau`` exists.
+    binary assignment with objective within ``tau`` exists. ``stats`` holds
+    the tree's deterministic counters: ``lp_solves`` (every LP solved, warm
+    or cold) and ``pivots`` (their simplex iterations).
     """
 
     names: tuple[str, ...]
@@ -147,6 +177,7 @@ class BinarySolutionPool:
     values: list[float]
     tau: float | None
     exhausted: bool
+    stats: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.assignments)
@@ -160,6 +191,7 @@ class BinarySolutionPool:
             "count": len(self),
             "tau": self.tau,
             "exhausted": self.exhausted,
+            "stats": dict(self.stats),
             "entries": [
                 {"assignment": list(a), "value": v}
                 for a, v in zip(self.assignments, self.values)
@@ -182,7 +214,7 @@ def enumerate_binary(
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     names = _checked_binary_names(model, binary_vars)
-    leaves, tau, _ = _tree(model, names, spec, limit)
+    leaves, tau, stats = _tree(model, names, spec, limit)
     if leaves and leaves[0][1].status == NUMERIC_FAILURE:
         raise ArithmeticError(f"binary solve failed: {leaves[0][1].message}")
     return BinarySolutionPool(
@@ -191,4 +223,5 @@ def enumerate_binary(
         values=[r.value for _, r in leaves],
         tau=tau,
         exhausted=len(leaves) < limit,
+        stats=stats,
     )

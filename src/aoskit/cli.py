@@ -8,12 +8,14 @@ and ``rank`` orders an enumerated set by a secondary criterion.
 
 Exit codes:
 
-* 0   success (for ``verify``: all containment checks passed)
+* 0   success (for ``verify``: all containment checks passed on complete
+      vertex sets)
 * 1   a containment check failed
 * 2   the model (or its sublevel set) is infeasible
 * 3   the feasible region is unbounded; re-run with ``--box-bound``
 * 4   enumeration was truncated by ``--limit`` or the basis budget, or a
-      basis was dropped for numerical trouble
+      basis was dropped for numerical trouble (for ``verify``: the checks
+      passed, but on a partial vertex set)
 * 64  usage error: bad flags, unreadable input, schema violations
 * 70  numerical failure inside the solver
 
@@ -399,7 +401,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         "result": report.to_json_dict(),
     }
     _emit(cfg, payload)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    if not report.passed:
+        return EXIT_VERIFY_FAIL
+    return EXIT_OK if payload["complete"] else EXIT_TRUNCATED
 
 
 def _load_secondary(path: str):

@@ -6,6 +6,12 @@ when both bounds are infinite, at zero. Phase 1 minimizes the total
 artificial infeasibility; phase 2 minimizes the real objective. Dantzig
 pricing with a permanent switch to Bland's rule after a long degenerate
 stall keeps the method finite.
+
+A form whose bounds were tightened after a solve (a branch-and-bound
+child) is re-optimised by :func:`solve_from` without phase 1: a bounded
+dual simplex runs from the earlier optimal basis, which stays dual
+feasible, until the basic point is within bounds, and the primal loop then
+certifies optimality with the same pricing test as a cold solve.
 """
 from __future__ import annotations
 
@@ -103,20 +109,34 @@ class SimplexResult:
 
 
 class _BoundedSimplex:
-    """Mutable solver state over one standard form, artificials appended."""
+    """Mutable solver state over one standard form.
 
-    def __init__(self, sf: StandardForm, max_iter: int | None = None):
+    Cold (``start`` None), artificials are appended for phase 1. Warm,
+    ``start`` is a (basis, statuses) pair on ``sf``'s own columns: no
+    artificials, and a nonbasic status that no longer names a finite bound
+    moves to one that does (a column fixed from free rests at its value).
+    """
+
+    def __init__(self, sf: StandardForm, max_iter: int | None = None, start=None):
         self.sf = sf
         m, n = sf.m, sf.n
         self.n_real = n
-        self.A = np.hstack([sf.A, np.zeros((m, m))])
-        self.b = sf.b.copy()
-        self.lower = np.concatenate([sf.lower, np.zeros(m)])
-        self.upper = np.concatenate([sf.upper, np.full(m, np.inf)])
         self.row_keep = list(range(m))
-        self.basis: list[int] = []
-        self.status = np.full(n + m, "L", dtype="<U1")
         self.iterations = 0
+        if start is None:
+            self.A = np.hstack([sf.A, np.zeros((m, m))])
+            self.b = sf.b.copy()
+            self.lower = np.concatenate([sf.lower, np.zeros(m)])
+            self.upper = np.concatenate([sf.upper, np.full(m, np.inf)])
+            self.basis: list[int] = []
+            self.status = np.full(n + m, "L", dtype="<U1")
+        else:
+            self.A, self.b, self.lower, self.upper = sf.A, sf.b, sf.lower, sf.upper
+            self.basis = list(start[0])
+            status = np.array(start[1], dtype="<U1")
+            rest = np.where(np.isfinite(self.lower), "L", np.where(np.isfinite(self.upper), "U", "F"))
+            keep_upper = (status == "U") & np.isfinite(self.upper)
+            self.status = np.where((status == "B") | keep_upper, status, rest)
         self.max_iter = max_iter if max_iter is not None else max(5000, 200 * (m + n))
         self.bland = False
         self.degenerate_run = 0
@@ -202,8 +222,75 @@ class _BoundedSimplex:
         self.degenerate_run = self.degenerate_run + 1 if t_basic <= TOL_PIVOT else 0
         return None
 
-    def run(self, c: np.ndarray) -> str:
-        """Iterate to a terminal status for objective c (``self.ray`` on UNBOUNDED)."""
+    def _dual_step(self, c: np.ndarray, x: np.ndarray) -> str | None:
+        """One bounded dual simplex pivot; returns a terminal status or None.
+
+        The most infeasible basic variable leaves, onto the bound it
+        violates (Bland: the lowest-index one, among those beyond TOL_FEAS
+        if any are). The entering column is the movable nonbasic one that
+        pushes it toward that bound with the smallest dual ratio
+        |d_j / alpha_j|, ties to the largest |alpha_j| (Bland: the lowest
+        index). A violation counts above 1e-12 relative, so a small bound
+        change is not mistaken for rounding; OPTIMAL means none is left, or
+        that the ones left are within TOL_FEAS (relative) and cannot be
+        pushed. INFEASIBLE means a basic variable beyond TOL_FEAS cannot be.
+        """
+        basis = np.array(self.basis, dtype=int)
+        xb = x[basis]
+        below = self.lower[basis] - xb
+        above = xb - self.upper[basis]
+        violation = np.maximum(below, above) / np.maximum(1.0, np.abs(xb))
+        beyond = violation > TOL_FEAS
+        rows = np.nonzero(beyond if beyond.any() else violation > 1e-12)[0]
+        if rows.size == 0:
+            return OPTIMAL
+        if self.bland:
+            r = int(rows[np.argmin(basis[rows])])
+        else:
+            r = int(rows[np.argmax(violation[rows])])
+        rises = bool(below[r] > above[r])
+
+        e_r = np.zeros(len(basis))
+        e_r[r] = 1.0
+        try:
+            y, rho = np.linalg.solve(self._B().T, np.column_stack([c[basis], e_r])).T
+        except np.linalg.LinAlgError:
+            return NUMERIC_FAILURE
+        d = c - self.A.T @ y
+        alpha = self.A.T @ rho  # x_B[r] falls by alpha[j] per unit rise of x_j
+
+        # push[j] > 0: moving x_j off its bound moves x_B[r] toward the violated bound
+        push = -alpha if rises else alpha
+        st = self.status
+        movable = (st != "B") & (self.lower != self.upper)
+        cand = movable & (
+            ((st == "L") & (push > TOL_PIVOT))
+            | ((st == "U") & (push < -TOL_PIVOT))
+            | ((st == "F") & (np.abs(push) > TOL_PIVOT))
+        )
+        idx = np.nonzero(cand)[0]
+        if idx.size == 0:
+            return INFEASIBLE if beyond[r] else OPTIMAL
+        ratios = np.abs(d[idx]) / np.abs(alpha[idx])
+        t = float(ratios.min())
+        if self.bland:
+            q = int(idx[np.nonzero(_tied(ratios, t))[0][0]])
+        else:
+            q = int(idx[leaving_row(ratios, t, alpha[idx])])
+
+        leaving = self.basis[r]
+        self.status[leaving] = "L" if rises else "U"
+        self.status[q] = "B"
+        self.basis[r] = q
+        self.degenerate_run = self.degenerate_run + 1 if t <= TOL_DUAL else 0
+        return None
+
+    def run(self, c: np.ndarray, step=None) -> str:
+        """Iterate to a terminal status for objective c (``self.ray`` on UNBOUNDED).
+
+        ``step`` is the primal :meth:`_step` unless given (:meth:`_dual_step`).
+        """
+        step = step or self._step
         stall_limit = 50 * max(1, len(self.basis))
         while True:
             if self.iterations >= self.max_iter:
@@ -211,7 +298,7 @@ class _BoundedSimplex:
             self.iterations += 1
             if self.degenerate_run > stall_limit:
                 self.bland = True
-            outcome = self._step(c, self.compute_x())
+            outcome = step(c, self.compute_x())
             if outcome is not None:
                 return outcome
 
@@ -288,7 +375,30 @@ def solve_standard(sf: StandardForm, max_iter: int | None = None) -> SimplexResu
             status = solver.run(c2)
     except np.linalg.LinAlgError:
         status = NUMERIC_FAILURE
+    return _result(solver, sf, status)
 
+
+def solve_from(sf: StandardForm, start: SimplexResult) -> SimplexResult:
+    """Re-optimise ``sf`` from the optimal basis of ``start``, without phase 1.
+
+    ``sf`` has ``start.sf``'s rows and columns, only its bounds may differ.
+    After tightened bounds the basis stays dual feasible: a bounded dual
+    simplex restores primal feasibility (or proves the form infeasible), and
+    the primal loop then certifies optimality as in a cold solve.
+    ``iterations`` counts both loops.
+    """
+    solver = _BoundedSimplex(sf, start=(start.basis, start.statuses))
+    try:
+        status = solver.run(sf.c, solver._dual_step)
+        if status == OPTIMAL:
+            status = solver.run(sf.c)
+    except np.linalg.LinAlgError:
+        status = NUMERIC_FAILURE
+    return _result(solver, sf, status)
+
+
+def _result(solver: _BoundedSimplex, sf: StandardForm, status: str) -> SimplexResult:
+    """The outcome of a finished run of ``solver`` on ``sf``."""
     kept = solver.row_keep
     used_sf = sf
     if len(kept) != sf.m:

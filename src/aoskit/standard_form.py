@@ -116,10 +116,14 @@ def drop_redundant_equalities(
     """Remove equality rows that are linear combinations of earlier rows.
 
     Rows that carry a slack column are trivially independent, so only pure
-    equality rows are tested, via least squares against the rows kept so
-    far. Returns (reduced form, dropped row indices, inconsistent flag);
-    inconsistent means some dependent row had a conflicting right-hand side,
-    which proves infeasibility.
+    equality rows are tested: a row is dependent when its residual against
+    the span of the equality rows kept so far is within 1e-7 of its scale
+    (the first kept row only needs an entry above ``tol``). One incremental
+    pass keeps an orthonormal basis of that span, grown by Gram-Schmidt
+    (projected twice, for orthogonality), with each basis row's right-hand
+    side carried along. Returns (reduced form, dropped row indices,
+    inconsistent flag); inconsistent means some dependent row had a
+    conflicting right-hand side, which proves infeasibility.
     """
     m = sf.m
     if m == 0:
@@ -129,29 +133,32 @@ def drop_redundant_equalities(
     keep: list[int] = []
     dropped: list[int] = []
     inconsistent = False
-    eq_kept: list[int] = []
+    q = np.zeros((m, sf.n_original))  # orthonormal rows spanning the kept equality rows
+    q_b = np.zeros(m)  # the right-hand side each q row carries
+    k = 0
     for i in range(m):
         if has_slack[i]:
             keep.append(i)
             continue
-        row = sf.A[i, : sf.n_original]
-        scale = max(1.0, float(np.abs(row).max()), abs(float(sf.b[i])))
-        if not eq_kept:
-            dependent = not np.any(np.abs(row) > tol * scale)
-            resid_b = sf.b[i]
+        resid, resid_b = sf.A[i, : sf.n_original], float(sf.b[i])
+        scale = max(1.0, float(np.abs(resid).max()), abs(resid_b))
+        if not k:
+            dependent = not np.any(np.abs(resid) > tol * scale)
         else:
-            basis = sf.A[np.array(eq_kept), : sf.n_original]
-            lam, *_ = np.linalg.lstsq(basis.T, row, rcond=None)
-            resid = row - basis.T @ lam
+            for _ in range(2):
+                proj = q[:k] @ resid
+                resid = resid - proj @ q[:k]
+                resid_b -= float(proj @ q_b[:k])
             dependent = np.abs(resid).max() <= 1e-7 * scale
-            resid_b = sf.b[i] - float(sf.b[np.array(eq_kept)] @ lam)
         if dependent:
             dropped.append(i)
             if abs(resid_b) > 1e-7 * scale:
                 inconsistent = True
         else:
             keep.append(i)
-            eq_kept.append(i)
+            norm = float(np.linalg.norm(resid))
+            q[k], q_b[k] = resid / norm, resid_b / norm
+            k += 1
 
     if not dropped:
         return sf, [], False

@@ -1,7 +1,10 @@
 """Shared fixtures and random-instance generators."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from aoskit import (
     Constraint,
@@ -15,6 +18,13 @@ from aoskit import (
     canonical_3bus,
     solve_model,
 )
+
+# HYPOTHESIS_PROFILE=ci prints a reproduction blob with every failure, so a
+# CI-only falsifying example can be replayed locally. It replaces Hypothesis's
+# built-in "ci" profile, which would drop deadlines and derandomize the runs;
+# example counts and deadlines stay those of the default profile.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -178,7 +178,7 @@ class TestEnumerateBinary:
         assert empty.tau == -3.0
         assert empty.exhausted is True
 
-    def test_ties_at_the_limit_keep_the_first_found(self, monkeypatch):
+    def test_ties_at_the_limit_keep_the_first_found(self):
         # min sum(x) s.t. sum(x) >= 1 on 10 binaries: 10 assignments tie at value 1
         names = tuple(f"x{j}" for j in range(10))
         model = LpModel(
@@ -186,16 +186,8 @@ class TestEnumerateBinary:
             constraints=[Constraint({n: 1.0 for n in names}, ">=", 1.0)],
             objective=Objective("min", {n: 1.0 for n in names}),
         )
-        solve, solves = binary.solve_model, []
-
-        def counted(m):
-            solves.append(m)
-            return solve(m)
-
-        monkeypatch.setattr(binary, "solve_model", counted)
         pool = enumerate_binary(model, names, GAP0, limit=3)
-        assert len(solves) <= 25
-        monkeypatch.undo()
+        assert pool.stats["lp_solves"] <= 25
         ones = [tuple(int(k == j) for k in range(10)) for j in range(10)]
         assert len(pool) == 3
         assert set(pool.assignments) <= set(ones)
@@ -212,6 +204,42 @@ class TestEnumerateBinary:
         assert solve_binary(knapsack(), BINARIES) is failed
         with pytest.raises(ArithmeticError, match="synthetic"):
             enumerate_binary(knapsack(), BINARIES, GAP0)
+        monkeypatch.undo()
+
+        # a failed warm child solve is retried cold, and only a failed cold
+        # retry is returned or raised; with budget 4 the relaxation
+        # (a=1, b=2/3) is fractional, so children are solved
+        model = knapsack()
+        model = LpModel(model.variables, [Constraint({"a": 2.0, "b": 3.0, "c": 4.0}, "<=", 4.0)], model.objective)
+        reference = enumerate_binary(model, BINARIES, SublevelSpec(gap=1.0))
+        assert reference.assignments == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+        failed = SimplexResult(status="numeric_failure", message="synthetic", iterations=2)
+        monkeypatch.setattr(binary, "solve_from", lambda sf, start: failed)
+        pool = enumerate_binary(model, BINARIES, SublevelSpec(gap=1.0))
+        assert pool.assignments == reference.assignments
+        assert pool.values == pytest.approx(reference.values, abs=1e-9)
+        assert pool.exhausted is True
+        # every child solved pays the failed warm solve and then a cold one
+        children = reference.stats["lp_solves"] - 1
+        assert children > 0
+        assert pool.stats["lp_solves"] == 1 + 2 * children
+        assert solve_binary(model, BINARIES).x.tolist() == [1.0, 0.0, 0.0]
+
+        cold_failed = SimplexResult(status="numeric_failure", message="cold too")
+        monkeypatch.setattr(binary, "solve_standard", lambda sf: cold_failed)
+        assert solve_binary(model, BINARIES) is cold_failed
+        with pytest.raises(ArithmeticError, match="cold too"):
+            enumerate_binary(model, BINARIES, GAP0)
+
+    def test_stats_count_every_node_solve(self):
+        pools = [enumerate_binary(knapsack(), BINARIES, SublevelSpec(gap=1.0)) for _ in range(2)]
+        assert pools[0].stats == pools[1].stats
+        assert set(pools[0].stats) == {"lp_solves", "pivots"}
+        assert pools[0].stats["lp_solves"] >= len(pools[0])
+        assert pools[0].stats["pivots"] >= pools[0].stats["lp_solves"]
+        res = solve_binary(knapsack(), BINARIES)
+        lp_solves = enumerate_binary(knapsack(), BINARIES, GAP0, limit=1).stats["lp_solves"]
+        assert res.message == f"branch-and-bound over {lp_solves} LP relaxations"
 
     def test_limit_below_one_rejected(self):
         with pytest.raises(ValueError, match="limit"):
@@ -244,6 +272,7 @@ class TestEnumerateBinary:
         assert doc["binary_names"] == ["a", "b", "c"]
         assert doc["count"] == 1
         assert doc["exhausted"] is True
+        assert doc["stats"] == pool.stats
         assert doc["entries"] == [{"assignment": [1, 1, 0], "value": pytest.approx(9.0)}]
 
 

@@ -219,6 +219,21 @@ class TestVerify:
         failing = [p for p in doc["result"]["pairs"] if not p["passed"]]
         assert failing  # the injected point must break at least one pair
 
+    def test_partial_vertex_sets_exit_truncated(self, run, tmp_path):
+        # --limit 1 truncates both enumerations: a pass on partial sets is not
+        # a success, while a violated constraint stays a failure
+        code, out, _ = run("verify", CANONICAL, "--limit", "1", "--gap", "0.05")
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        assert doc["complete"] is False
+        assert code == 4
+        bad = json.dumps([0.0] * 9)
+        code, out, _ = run("verify", CANONICAL, "--limit", "1", "--gap", "0.05", "--inject-bad-point", bad)
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert doc["complete"] is False
+        assert code == 1
+
     def test_verify_runs_are_byte_identical(self, run, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

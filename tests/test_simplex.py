@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -20,7 +21,15 @@ from aoskit import (
     solve_model,
 )
 from aoskit.cli import main
-from aoskit.simplex import TOL_PIVOT, basic_point, leaving_row, ratio_test
+from aoskit.simplex import (
+    TOL_FEAS,
+    TOL_PIVOT,
+    basic_point,
+    leaving_row,
+    ratio_test,
+    solve_from,
+    solve_standard,
+)
 
 from conftest import random_bounded_lp
 
@@ -463,3 +472,137 @@ def test_golden_enumerate_result(name):
     result = json.loads(out.getvalue())["result"]
     result.pop("meta")
     assert result == GOLDEN_ENUMERATE[name]
+
+
+# ---------------------------------------------------------------------------
+# warm start: a bounded dual simplex from the parent's basis
+
+
+def warm_start_lp(rng: np.random.Generator) -> LpModel:
+    """Bounded LP with free columns, equality rows and a dependent row.
+
+    Every free column but an unused one (in no row and not in the
+    objective) is pinned by an equality row to bounded columns, so the LP is
+    bounded; inequalities are anchored at an interior point, some of them
+    tight there, so it is feasible.
+    """
+    n = int(rng.integers(2, 7))
+    names = [f"x{j}" for j in range(n)]
+    free = rng.random(n) < 0.3
+    free[0] = False
+    used = np.ones(n, dtype=bool)
+    if rng.random() < 0.2:
+        unused = int(rng.integers(1, n))
+        free[unused], used[unused] = True, False
+    lo = rng.uniform(-5, 0, n)
+    hi = lo + rng.uniform(0.5, 6, n)
+    x0 = np.where(free, rng.uniform(-5, 5, n), lo + rng.uniform(0.2, 0.8, n) * (hi - lo))
+    variables = [Variable(nm) if f else Variable(nm, float(a), float(b)) for nm, f, a, b in zip(names, free, lo, hi)]
+
+    def draw(p):
+        return {names[k]: float(np.round(rng.uniform(-3, 3), 2)) for k in range(n) if used[k] and rng.random() < p}
+
+    equalities = []
+    for j in np.nonzero(free & used)[0]:
+        coeffs = {names[k]: float(np.round(rng.uniform(-2, 2), 2)) for k in np.nonzero(~free)[0] if rng.random() < 0.6}
+        equalities.append({names[j]: 1.0, **coeffs})
+    equalities.append(draw(0.7) or {names[0]: 1.0})
+    if len(equalities) >= 2:  # a dependent row: 2 * first - last
+        first, last = equalities[0], equalities[-1]
+        equalities.append({nm: 2 * first.get(nm, 0.0) - last.get(nm, 0.0) for nm in set(first) | set(last)})
+    index = {nm: j for j, nm in enumerate(names)}
+    lhs = lambda coeffs: float(sum(c * x0[index[nm]] for nm, c in coeffs.items()))
+    constraints = [Constraint(c, "=", lhs(c)) for c in equalities]
+    for _ in range(int(rng.integers(1, 6))):
+        coeffs = draw(0.7)
+        if not coeffs:
+            continue
+        slack = float(rng.choice([0.0, rng.uniform(0.1, 2.0)]))
+        if rng.random() < 0.5:
+            constraints.append(Constraint(coeffs, "<=", lhs(coeffs) + slack))
+        else:
+            constraints.append(Constraint(coeffs, ">=", lhs(coeffs) - slack))
+    objective = {nm: float(np.round(rng.uniform(-4, 4), 1)) for nm, u in zip(names, used) if u and rng.random() < 0.8}
+    return LpModel(variables, constraints, Objective(str(rng.choice(["min", "max"])), objective))
+
+
+def with_fixed_column(sf, j, value):
+    lower, upper = sf.lower.copy(), sf.upper.copy()
+    lower[j] = upper[j] = value
+    return dataclasses.replace(sf, lower=lower, upper=upper)
+
+
+def column_range(sf, j):
+    """(min, max) of column j over the form's feasible set, by two cold solves."""
+    ends = []
+    for sign in (1.0, -1.0):
+        c = np.zeros(sf.n)
+        c[j] = sign
+        res = solve_standard(dataclasses.replace(sf, c=c))
+        assert res.status in ("optimal", "unbounded")
+        ends.append(res.x_std[j] if res.is_optimal else -sign * np.inf)
+    return ends[0], ends[1]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_warm_start_matches_a_cold_solve(data):
+    model = warm_start_lp(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")))
+    parent = solve_model(model)
+    assert parent.is_optimal
+    sf = parent.sf
+    j = data.draw(st.integers(0, model.n_variables - 1), label="column")
+    lo, hi = column_range(sf, j)
+    mode = data.draw(st.sampled_from(["inside", "edge", "bound", "parent", "outside"]), label="mode")
+    if mode == "inside":
+        # at least 1e-6 inside the range: a cold phase 1 may stop up to
+        # TOL_FEAS short of a thinner sliver, and then reads another value
+        a, b = max(lo, parent.x_std[j] - 10.0), min(hi, parent.x_std[j] + 10.0)
+        assume(b - a > 2e-6)
+        value = a + 1e-6 + data.draw(st.floats(0, 1), label="fraction") * (b - a - 2e-6)
+    elif mode == "edge":  # an end of the range, or beyond it by rounding noise
+        end, away = data.draw(st.sampled_from([(lo, -1.0), (hi, 1.0)]), label="end")
+        assume(np.isfinite(end))
+        offset = data.draw(st.sampled_from([0.0, 1e-13, 1e-12]), label="offset")
+        value = end + away * offset * max(1.0, abs(end))
+        value = min(max(value, sf.lower[j]), sf.upper[j])
+    elif mode == "bound":
+        bounds = [v for v in (sf.lower[j], sf.upper[j]) if np.isfinite(v)]
+        assume(bounds)
+        value = data.draw(st.sampled_from(bounds), label="bound")
+    elif mode == "parent":
+        value = float(parent.x_std[j])
+    else:  # beyond the column's range over the feasible set, within its bounds
+        sides = [(max(sf.lower[j], lo - 10.0), lo - 1e-3)] if np.isfinite(lo) else []
+        sides += [(hi + 1e-3, min(sf.upper[j], hi + 10.0))] if np.isfinite(hi) else []
+        room = [(a, b) for a, b in sides if b - a > 1e-6]
+        assume(room)
+        a, b = data.draw(st.sampled_from(room), label="side")
+        value = a + data.draw(st.floats(0, 1), label="fraction") * (b - a)
+    child = with_fixed_column(sf, j, value)
+
+    cold = solve_standard(child)
+    warm = solve_from(child, parent)
+    assert warm.status == cold.status
+    if mode == "outside":
+        assert warm.status == "infeasible"
+    if warm.is_optimal:
+        assert warm.value == pytest.approx(cold.value, abs=1e-9 * max(1.0, abs(cold.value)))
+        assert child.max_violation(warm.x_std) <= TOL_FEAS
+
+
+def test_warm_start_honours_a_small_bound_change():
+    # x0 + x1 = 1, x0 in [0, 2], x1 in [0, 1], min x1: x0 = 1 is basic.
+    # Fixing x0 at 1 - 1e-9 leaves it 1e-9 above its bound, within TOL_FEAS
+    # but a real change: the dual simplex must move it onto the bound.
+    model = LpModel(
+        variables=[Variable("x0", 0.0, 2.0), Variable("x1", 0.0, 1.0)],
+        constraints=[Constraint({"x0": 1.0, "x1": 1.0}, "=", 1.0)],
+        objective=Objective("min", {"x1": 1.0}),
+    )
+    parent = solve_model(model)
+    assert parent.basis == (0,)
+    warm = solve_from(with_fixed_column(parent.sf, 0, 1.0 - 1e-9), parent)
+    assert warm.is_optimal
+    assert warm.x_std[0] == 1.0 - 1e-9
+    assert warm.value == pytest.approx(1e-9, rel=1e-6)

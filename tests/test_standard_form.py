@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoskit import (
     Constraint,
     LpModel,
     Objective,
+    StandardForm,
     Variable,
     drop_redundant_equalities,
     solve_model,
@@ -188,3 +191,75 @@ class TestRedundantRows:
             if rank == sf.m:
                 assert dropped == [] and not inconsistent
             assert reduced.m >= rank
+
+
+def lstsq_rule(sf, tol=1e-9):
+    """Reference: each pure equality row against every kept one by least squares."""
+    dropped, inconsistent, eq_kept = [], False, []
+    has_slack = np.any(sf.A[:, sf.n_original :] != 0.0, axis=1)
+    for i in range(sf.m):
+        if has_slack[i]:
+            continue
+        row = sf.A[i, : sf.n_original]
+        scale = max(1.0, float(np.abs(row).max()), abs(float(sf.b[i])))
+        if not eq_kept:
+            dependent = not np.any(np.abs(row) > tol * scale)
+            resid_b = sf.b[i]
+        else:
+            basis = sf.A[eq_kept, : sf.n_original]
+            lam, *_ = np.linalg.lstsq(basis.T, row, rcond=None)
+            dependent = np.abs(row - basis.T @ lam).max() <= 1e-7 * scale
+            resid_b = sf.b[i] - float(sf.b[eq_kept] @ lam)
+        if dependent:
+            dropped.append(i)
+            inconsistent |= bool(abs(resid_b) > 1e-7 * scale)
+        else:
+            eq_kept.append(i)
+    return dropped, inconsistent
+
+
+# how a row is made: fresh, a combination of earlier rows (dependent, or off by
+# a perturbation of the row or of its right-hand side), zero, or with a slack
+ROW_KINDS = st.sampled_from(["fresh", "combination", "near", "apart", "inconsistent", "zero", "slack"])
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_incremental_pass_drops_the_rows_least_squares_drops(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    kinds = data.draw(st.lists(ROW_KINDS, min_size=1, max_size=9), label="kinds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows, rhs, slack_rows = [], [], []
+    for kind in kinds:
+        if kind in ("fresh", "slack") or not rows:
+            row, b = np.round(rng.uniform(-5, 5, n), 2) * (rng.random(n) < 0.8), float(np.round(rng.uniform(-9, 9), 2))
+        elif kind == "zero":
+            row, b = np.zeros(n), float(rng.choice([0.0, 1e-12, 2.0]))
+        else:
+            weights = np.round(rng.uniform(-3, 3, len(rows)), 1) * (rng.random(len(rows)) < 0.6)
+            row, b = weights @ np.array(rows), float(weights @ np.array(rhs))
+            if kind == "near":
+                row = row + rng.choice([1e-13, 1e-11]) * rng.standard_normal(n)
+            elif kind == "apart":
+                row = row + rng.choice([1e-4, 1e-2]) * rng.standard_normal(n)
+            elif kind == "inconsistent":
+                b += float(rng.choice([-1.0, 1.0]) * rng.choice([1e-3, 0.5]))
+        rows.append(row)
+        rhs.append(b)
+        if kind == "slack":
+            slack_rows.append(len(rows) - 1)
+    m = len(rows)
+    A = np.zeros((m, n + len(slack_rows)))
+    A[:, :n] = rows
+    for k, i in enumerate(slack_rows):
+        A[i, n + k] = 1.0
+    sf = StandardForm(
+        A=A, b=np.array(rhs), c=np.zeros(A.shape[1]), lower=np.zeros(A.shape[1]),
+        upper=np.full(A.shape[1], np.inf), col_names=tuple(f"c{j}" for j in range(A.shape[1])),
+        n_original=n, sense_sign=1, obj_constant=0.0, row_origin=tuple(range(m)),
+    )
+    reduced, dropped, inconsistent = drop_redundant_equalities(sf)
+    assert (dropped, inconsistent) == lstsq_rule(sf)
+    kept = [i for i in range(m) if i not in dropped]
+    assert reduced.row_origin == tuple(kept)
+    np.testing.assert_array_equal(reduced.b, sf.b[kept])

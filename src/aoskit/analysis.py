@@ -13,7 +13,7 @@ import numpy as np
 
 from .model import Constraint, LpModel, Objective, Variable
 from .projection import ProjectionSpec, project_set
-from .sets import VertexSet
+from .sets import VertexSet, order_keys
 from .simplex import INFEASIBLE, OPTIMAL, solve_model
 from .sublevel import SublevelSpec, make_sublevel_model
 from .vertices import NumericFailureError
@@ -153,9 +153,10 @@ def is_in_convex_hull(q, generators, feas_tol: float = 1e-7) -> bool:
 class RankedAlternatives:
     """Vertex set reordered by a secondary criterion, best first.
 
-    ``values`` aligns with ``points``; ties are broken lexicographically by
-    point so the order is reproducible. ``method`` records whether values
-    came from a linear objective or external per-point scores.
+    ``values`` aligns with ``points``; values equal up to rounding noise
+    tie, and tied points keep the vertex set's canonical order, so the
+    order is reproducible. ``method`` records whether values came from a
+    linear objective or external per-point scores.
     """
 
     names: tuple[str, ...]
@@ -203,7 +204,8 @@ class RankedAlternatives:
 
 def _ranked(vs: VertexSet, values: np.ndarray, sense: str, method: str, secondary=None):
     sign = 1.0 if sense == "min" else -1.0
-    order = sorted(range(len(vs)), key=lambda i: (sign * values[i], tuple(vs.points[i])))
+    # values within rounding noise tie and keep the set's canonical order
+    order = np.argsort(order_keys(sign * values)[0], kind="stable")
     return RankedAlternatives(
         names=vs.names,
         points=vs.points[order] if len(vs) else vs.points,

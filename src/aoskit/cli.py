@@ -25,6 +25,7 @@ Set ``AOS_LOG=debug`` (or ``info``) to see progress on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -317,7 +318,7 @@ def _enumerate_payload(cfg: RunConfig, use_oracle: bool):
     else:
         rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
         vs = enumerate_vertices(
-            boxed, base.value, spec, limit=cfg.limit, dedup_tol=cfg.dedup_tol, order_rng=rng
+            boxed, base.value, spec, limit=cfg.limit, dedup_tol=cfg.dedup_tol, order_rng=rng, start=base
         )
     out = vs
     if cfg.project is not None:
@@ -375,14 +376,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     abs_spec = SublevelSpec(tau=tau)
     log.info("verify: z*=%s tau=%s", base.value, tau)
 
-    dc_vs = enumerate_vertices(dc_boxed, base.value, abs_spec, limit=cfg.limit, dedup_tol=cfg.dedup_tol)
+    dc_vs = enumerate_vertices(
+        dc_boxed, base.value, abs_spec, limit=cfg.limit, dedup_tol=cfg.dedup_tol, start=base
+    )
     if cfg.inject_bad_point is not None:
         dc_vs = _inject_point(dc_vs, dc_boxed, cfg.inject_bad_point)
     nf_base = solve_model(nf)
     if nf_base.status != OPTIMAL:
         _emit(cfg, {"status": nf_base.status, "message": nf_base.message})
         return _STATUS_EXIT[nf_base.status]
-    nf_vs = enumerate_vertices(nf, nf_base.value, abs_spec, limit=cfg.limit, dedup_tol=cfg.dedup_tol)
+    nf_vs = enumerate_vertices(
+        nf, nf_base.value, abs_spec, limit=cfg.limit, dedup_tol=cfg.dedup_tol, start=nf_base
+    )
 
     onto_nf = ProjectionSpec(names=nf.variable_names)
     onto_cp = ProjectionSpec(names=cp.variable_names)
@@ -488,11 +493,17 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every main() call in this process, built by the first
+    one rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _shared_parser().parse_args(argv)
         cfg = RunConfig.from_args(ns)
         return _COMMANDS[cfg.command](cfg)
     except UsageError as exc:

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -158,12 +159,6 @@ class LpModel:
             c[self._index[name]] = coef
         return c
 
-    def constraint_row(self, i: int) -> np.ndarray:
-        row = np.zeros(self.n_variables)
-        for name, coef in self.constraints[i].coeffs.items():
-            row[self._index[name]] = coef
-        return row
-
     def constraint_matrix(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         """Dense (rows, rhs, senses) for all constraints, in declaration order."""
         m = len(self.constraints)
@@ -178,7 +173,7 @@ class LpModel:
         return rows, rhs, tuple(senses)
 
     def evaluate_objective(self, x: np.ndarray) -> float:
-        return float(self.objective_vector() @ np.asarray(x, dtype=float) + self.objective.constant)
+        return float(self._checks["c"] @ np.asarray(x, dtype=float) + self.objective.constant)
 
     def constraint_labels(self) -> list[str]:
         """Stable labels for constraints and finite bounds, used in reports."""
@@ -199,21 +194,37 @@ class LpModel:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_variables,):
             raise ValueError(f"point has dimension {x.shape}, model has {self.n_variables}")
-        out = []
-        for i, con in enumerate(self.constraints):
-            lhs = float(self.constraint_row(i) @ x)
-            if con.sense == "<=":
-                out.append(lhs - con.rhs)
-            elif con.sense == ">=":
-                out.append(con.rhs - lhs)
-            else:
-                out.append(abs(lhs - con.rhs))
+        k = self._checks
+        rows = k["sign"] * (k["rows"] @ x - k["rhs"])
+        rows[k["eq"]] = np.abs(rows[k["eq"]])
+        bounds = k["bound_sign"] * (x[k["bound_col"]] - k["bound"])
+        return np.maximum(np.concatenate([rows, bounds]), 0.0)
+
+    @cached_property
+    def _checks(self) -> dict:
+        """The arrays behind :meth:`violations` and :meth:`evaluate_objective`,
+        built once: the model is immutable. A row's violation is its sign
+        times (lhs - rhs), +1 for "<=" and -1 for ">=" (absolute for "=");
+        a finite bound's is its sign times (x[col] - bound), -1 for a lower
+        bound and +1 for an upper one, in :meth:`constraint_labels` order."""
+        rows, rhs, senses = self.constraint_matrix()
+        bound_col, bound_sign, bound = [], [], []
         for j, v in enumerate(self.variables):
-            if math.isfinite(v.lower):
-                out.append(v.lower - x[j])
-            if math.isfinite(v.upper):
-                out.append(x[j] - v.upper)
-        return np.maximum(np.array(out, dtype=float), 0.0)
+            for value, sign in ((v.lower, -1.0), (v.upper, 1.0)):
+                if math.isfinite(value):
+                    bound_col.append(j)
+                    bound_sign.append(sign)
+                    bound.append(value)
+        return {
+            "rows": rows,
+            "rhs": rhs,
+            "sign": np.array([-1.0 if s == ">=" else 1.0 for s in senses]),
+            "eq": np.array([s == "=" for s in senses], dtype=bool),
+            "bound_col": np.array(bound_col, dtype=int),
+            "bound_sign": np.array(bound_sign),
+            "bound": np.array(bound, dtype=float),
+            "c": self.objective_vector(),
+        }
 
     def max_violation(self, x: np.ndarray) -> float:
         v = self.violations(x)

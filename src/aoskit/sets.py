@@ -7,13 +7,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def dedup_and_sort(points: np.ndarray, dedup_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographically sorted points with near-duplicates removed.
+# the canonical order compares values on a grid this fine, relative to the
+# largest of them: far coarser than rounding noise and than the 12
+# significant digits of a report, far finer than any dedup tolerance in use
+_ORDER_GRID = 1e-9
 
-    Two points clash when their max coordinate difference is at most
-    ``dedup_tol``; in lexicographic order, a point is kept unless it clashes
-    with a point kept before it. Returns (kept points, indices of the kept
-    points in the input array).
+
+def order_keys(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """``values`` snapped to the canonical order grid, in grid cells, and
+    the grid spacing: ``_ORDER_GRID * max(1, max |finite value|)``."""
+    values = np.asarray(values, dtype=float)
+    grid = _ORDER_GRID * max(1.0, float(np.abs(values[np.isfinite(values)]).max(initial=0.0)))
+    return np.round(values / grid) + 0.0, grid
+
+
+def dedup_and_sort(points: np.ndarray, dedup_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points in canonical order with near-duplicates removed.
+
+    The canonical order is lexicographic on the coordinates snapped to the
+    grid of :func:`order_keys`, ties broken by the raw coordinates, so
+    points that differ only by rounding noise keep one order whichever
+    computation produced them. Two points clash when their max coordinate
+    difference is at most ``dedup_tol``; in canonical order, a point is kept
+    unless it clashes with a point kept before it. Returns (kept points,
+    indices of the kept points in the input array).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -21,18 +38,20 @@ def dedup_and_sort(points: np.ndarray, dedup_tol: float) -> tuple[np.ndarray, np
     if pts.shape[0] == 0:
         return pts.copy(), np.zeros(0, dtype=int)
     pts = pts + 0.0  # normalize -0.0 so sorting and output are sign-stable
-    order = np.lexsort(pts.T[::-1])
+    snapped, grid = order_keys(pts)
+    order = np.lexsort(np.vstack([pts.T[::-1], snapped.T[::-1]]))
+    # a clash needs the first coordinates within dedup_tol, so snapped ones
+    # within dedup_tol / grid + 1 cells; the window adds one cell for rounding
+    reach = dedup_tol / grid + 2.0
     kept = np.empty_like(pts)
-    firsts: list[float] = []  # kept first coordinates, ascending in lexicographic order
+    firsts: list[float] = []  # kept snapped first coordinates, ascending in canonical order
     kept_src: list[int] = []
     for src in order:
         p = pts[src]
-        # a clash needs the first coordinates within dedup_tol; the window
-        # is twice as wide so that rounding in p[0] - dedup_tol loses none
-        lo = bisect.bisect_left(firsts, p[0] - 2.0 * dedup_tol)
+        lo = bisect.bisect_left(firsts, snapped[src, 0] - reach)
         if lo == len(firsts) or np.abs(kept[lo : len(firsts)] - p).max(axis=1).min() > dedup_tol:
             kept[len(firsts)] = p
-            firsts.append(p[0])
+            firsts.append(snapped[src, 0])
             kept_src.append(int(src))
     return kept[: len(firsts)].copy(), np.array(kept_src, dtype=int)
 

@@ -33,15 +33,17 @@ from .simplex import (
     INFEASIBLE,
     NUMERIC_FAILURE,
     OPTIMAL,
+    TOL_FEAS,
     TOL_PIVOT,
     UNBOUNDED,
+    SimplexResult,
     basic_point,
     leaving_row,
     ratio_test,
     solve_model,
     solve_standard,
 )
-from .standard_form import StandardForm
+from .standard_form import StandardForm, to_standard_form
 from .sublevel import SublevelSpec, make_sublevel_model
 
 _BOX_HINT = "the region is unbounded; call apply_box_bounds on the model first"
@@ -74,7 +76,8 @@ class OracleGuardError(EnumerationError):
 
 
 def _crash_free_columns(sf: StandardForm, basis: list[int], st: np.ndarray):
-    """Pivot every free nonbasic column into the basis.
+    """Pivot every free nonbasic column into the basis; returns the sorted
+    basis and the statuses.
 
     A free column resting between bounds means the current point is not a
     vertex; driving it until some basic variable hits a bound fixes that.
@@ -84,7 +87,7 @@ def _crash_free_columns(sf: StandardForm, basis: list[int], st: np.ndarray):
     while True:
         free_nb = [j for j in range(sf.n) if st[j] == "F"]
         if not free_nb:
-            return basis, st
+            return sorted(basis), st
         j = free_nb[0]
         x = basic_point(sf.A, sf.b, sf.lower, sf.upper, basis, st)
         w = np.linalg.solve(sf.A[:, basis], sf.A[:, j]) if basis else np.zeros(0)
@@ -187,17 +190,14 @@ class _Walk:
         x[at_upper] = sf.upper[at_upper]
         return x
 
-    def vertices(self, sf: StandardForm, basis: list[int], st: np.ndarray, limit: float, tol: float):
+    def vertices(self, sf: StandardForm, basis: list[int], st: np.ndarray, x: np.ndarray, limit: float, tol: float):
         """Breadth-first walk over the vertices of sf's polytope.
 
-        Starts at the vertex of (basis, st). Vertices are told apart by their
-        first ``sf.n_original`` coordinates at max-coordinate distance
-        ``tol``. Returns ([(point, basis, statuses)] with one basis per
-        vertex, the truncation reason or None).
+        Starts at the vertex x of (basis, st), as :meth:`point` returns it.
+        Vertices are told apart by their first ``sf.n_original`` coordinates
+        at max-coordinate distance ``tol``. Returns ([(point, basis,
+        statuses)] with one basis per vertex, the truncation reason or None).
         """
-        x = self.point(sf, basis, st)
-        if x is None:
-            return [], None
         n0 = sf.n_original
         index = _PointIndex(tol)
         index.add(x[:n0])
@@ -330,7 +330,10 @@ class _Walk:
                 self.rejected += 1
                 return [], None
             q_basis, q_st = sorted(res.basis), np.array(res.statuses, dtype="<U1")
-        rays, truncated = self.vertices(cone, q_basis, q_st, math.inf, _CONE_TOL)
+        q_x = self.point(cone, q_basis, q_st)
+        if q_x is None:
+            return [], None
+        rays, truncated = self.vertices(cone, q_basis, q_st, q_x, math.inf, _CONE_TOL)
         moves = []
         for u, q_basis, _ in rays:
             in_u = [p for p in q_basis if p < K]
@@ -382,6 +385,52 @@ def _land(basis, st, j, direction, r, rate_r):
     return sorted(basis[:r] + basis[r + 1 :] + [j]), new_st
 
 
+def _start_basis(sub: LpModel, start: SimplexResult | None):
+    """The sublevel form and a basis at ``start``'s optimum, or None.
+
+    ``start`` is the optimal result of ``solve_model`` on the model that
+    ``sub`` cuts. Its form keeps the rows that survived the cleaning of
+    dependent rows; the sublevel form keeps those plus the level row, whose
+    slack column joins the basis. None when ``start`` is missing, not
+    optimal or of another model, or when its optimum lies beyond the level
+    (a tau below the optimal value).
+    """
+    if start is None or start.status != OPTIMAL:
+        return None
+    full = to_standard_form(sub)
+    level = sub.metadata["sublevel_row"]
+    rows = list(start.sf.row_origin) + [level]
+    slack = full.n - 1  # the level row is the last row, so its slack is the last column
+    same = full.col_names[:slack] == start.sf.col_names and all(
+        np.array_equal(mine, theirs)
+        for mine, theirs in (
+            (full.A[rows[:-1], :slack], start.sf.A),
+            (full.b[rows[:-1]], start.sf.b),
+            (full.lower[:slack], start.sf.lower),
+            (full.upper[:slack], start.sf.upper),
+        )
+    )
+    if not same:
+        return None
+    level_slack = (full.b[level] - full.A[level, :slack] @ start.x_std) / full.A[level, slack]
+    if level_slack < -TOL_FEAS * max(1.0, abs(full.b[level])):
+        return None
+    sf = StandardForm(
+        A=full.A[rows],
+        b=full.b[rows],
+        c=full.c,
+        lower=full.lower,
+        upper=full.upper,
+        col_names=full.col_names,
+        n_original=full.n_original,
+        sense_sign=full.sense_sign,
+        obj_constant=full.obj_constant,
+        row_origin=tuple(rows),
+    )
+    st = np.array(start.statuses + ("B",), dtype="<U1")
+    return sf, list(start.basis) + [slack], st
+
+
 def enumerate_vertices(
     model: LpModel,
     z_star: float,
@@ -390,6 +439,7 @@ def enumerate_vertices(
     dedup_tol: float = 1e-6,
     order_rng: np.random.Generator | None = None,
     max_bases: int = 500_000,
+    start: SimplexResult | None = None,
 ) -> VertexSet:
     """All vertices of the model's sublevel polytope at the level ``spec``.
 
@@ -401,6 +451,13 @@ def enumerate_vertices(
     or its point was infeasible: ``meta["rejected"]`` counts those, and
     ``meta["truncated"]`` reads "numerical". ``order_rng`` shuffles
     exploration order only; the result is identical.
+
+    ``start``, the optimal result of ``solve_model(model)``, saves the
+    sublevel solve: its optimum is a vertex of the sublevel polytope, so the
+    walk starts there, at its basis plus the level cut's slack. Without it,
+    or when it cannot be used (not optimal, another model, an optimum
+    beyond the level, an unusable basis), the sublevel model is solved from
+    scratch. A complete vertex set is the same either way.
     """
     sub = make_sublevel_model(model, z_star, spec)
     tau = sub.metadata["sublevel_tau"]
@@ -408,21 +465,28 @@ def enumerate_vertices(
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
 
-    res = solve_model(sub)
-    if res.status == INFEASIBLE:
-        meta["empty_reason"] = "sublevel model infeasible (tau below the optimal value)"
-        return VertexSet.from_points(
-            np.zeros((0, model.n_variables)), model.variable_names, objectives=[], meta=meta
-        )
-    if res.status == NUMERIC_FAILURE:
-        raise NumericFailureError(res.message)
-    if res.status == UNBOUNDED:
-        raise UnboundedRegionError()
-
-    sf = res.sf
-    basis, st = _crash_free_columns(sf, list(res.basis), np.array(res.statuses, dtype="<U1"))
     walk = _Walk(order_rng, max_bases)
-    found, truncated = walk.vertices(sf, sorted(basis), st, limit, dedup_tol)
+    begin, x = _start_basis(sub, start), None
+    if begin is not None:
+        sf, basis, st = begin
+        basis, st = _crash_free_columns(sf, basis, st)
+        x = walk.point(sf, basis, st)
+        walk.rejected = 0  # an unusable start basis costs a cold solve, not a vertex
+    if x is None:
+        res = solve_model(sub)
+        if res.status == INFEASIBLE:
+            meta["empty_reason"] = "sublevel model infeasible (tau below the optimal value)"
+            return VertexSet.from_points(
+                np.zeros((0, model.n_variables)), model.variable_names, objectives=[], meta=meta
+            )
+        if res.status == NUMERIC_FAILURE:
+            raise NumericFailureError(res.message)
+        if res.status == UNBOUNDED:
+            raise UnboundedRegionError()
+        sf = res.sf
+        basis, st = _crash_free_columns(sf, list(res.basis), np.array(res.statuses, dtype="<U1"))
+        x = walk.point(sf, basis, st)
+    found, truncated = ([], None) if x is None else walk.vertices(sf, basis, st, x, limit, dedup_tol)
     if truncated is None and walk.rejected:
         truncated = "numerical"
 

@@ -184,6 +184,12 @@ class TestRankAlternatives:
         vs = VertexSet.from_points([[1.0, 0.0], [0.0, 1.0]], ("x", "y"))
         ranked = rank_alternatives(vs, Objective("min", {"x": 1.0, "y": 1.0}))
         np.testing.assert_allclose(ranked.points, [[0.0, 1.0], [1.0, 0.0]])
+        # values apart by rounding noise tie too, so the set's order holds
+        # whichever way the noise falls
+        for noise in (2e-13, -2e-13):
+            vs = VertexSet.from_points([[1.0, 0.0], [0.0, 1.0 + noise]], ("x", "y"))
+            ranked = rank_alternatives(vs, Objective("min", {"x": 1.0, "y": 1.0}))
+            assert ranked.points.tolist() == [[0.0, 1.0 + noise], [1.0, 0.0]]
 
     def test_unknown_variable_rejected(self):
         vs = VertexSet.from_points([[0.0]], ("x",))

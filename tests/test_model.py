@@ -129,6 +129,43 @@ class TestFeasibility:
         assert m.max_violation(np.array([1.0, 2.0, 1.0])) == pytest.approx(1.0)
 
 
+def loop_violations(m: LpModel, x: np.ndarray) -> list[float]:
+    """The violations written out one constraint and one bound at a time."""
+    out = []
+    for con in m.constraints:
+        lhs = sum(coef * x[m.variable_index(name)] for name, coef in con.coeffs.items())
+        out.append({"<=": lhs - con.rhs, ">=": con.rhs - lhs, "=": abs(lhs - con.rhs)}[con.sense])
+    for j, v in enumerate(m.variables):
+        if math.isfinite(v.lower):
+            out.append(v.lower - x[j])
+        if math.isfinite(v.upper):
+            out.append(x[j] - v.upper)
+    return [max(v, 0.0) for v in out]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_violations_match_the_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    m = random_bounded_lp(rng)
+    if rng.random() < 0.5:  # free and one-sided variables leave out bound rows
+        m = LpModel([Variable(v.name, lower=-math.inf if k % 3 == 0 else v.lower,
+                              upper=math.inf if k % 2 == 0 else v.upper)
+                     for k, v in enumerate(m.variables)], m.constraints, m.objective)
+    lower, upper = m.bounds_arrays()
+    for _ in range(3):
+        x = rng.uniform(np.where(np.isfinite(lower), lower, -20) - 2, np.where(np.isfinite(upper), upper, 20) + 2)
+        got = m.violations(x)
+        assert len(got) == len(m.constraint_labels())
+        # the stacked product sums in another order than the loop: with at
+        # most 5 terms of |coefficient| <= 3 that moves a row by a few ulps
+        np.testing.assert_allclose(got, loop_violations(m, x), rtol=0, atol=1e-12 * max(1.0, np.abs(x).max()))
+        assert m.evaluate_objective(x) == pytest.approx(
+            sum(c * x[m.variable_index(n)] for n, c in m.objective.coeffs.items()) + m.objective.constant,
+            rel=1e-12, abs=1e-12,
+        )
+
+
 class TestSerialization:
     def test_round_trip_small(self):
         m = small_model()

@@ -425,7 +425,9 @@ def test_golden_solve_path(build, iterations, x):
     assert res.x.tolist() == x
 
 
-# the ``result`` block of ``enumerate --gap 0.05``, minus ``meta``
+# the ``result`` block of ``enumerate --gap 0.05``, minus ``meta``; the two
+# canonical_3bus points at P[1] = 100 tie on every coordinate up to the
+# thetas, which order them
 GOLDEN_ENUMERATE = {
     "canonical_3bus.json": {
         "names": ["P[1]", "P[2]", "P[3]", "f[1,2]", "f[1,3]", "f[2,3]", "theta[1]", "theta[2]", "theta[3]"],
@@ -437,8 +439,8 @@ GOLDEN_ENUMERATE = {
             [0.0, 100.0, 0.0, -33.3333333333, 33.3333333333, 66.6666666667, -9966.66666667, -9933.33333333, -10000.0],
             [0.0, 100.0, 0.0, -33.3333333333, 33.3333333333, 66.6666666667, 9966.66666667, 10000.0, 9933.33333333],
             [50.0, 50.0, 0.0, 0.0, 50.0, 50.0, 10000.0, 10000.0, 9950.0],
-            [100.0, 0.0, 0.0, 33.3333333333, 66.6666666667, 33.3333333333, 10000.0, 9966.66666667, 9933.33333333],
             [100.0, 0.0, 0.0, 33.3333333333, 66.6666666667, 33.3333333333, -9933.33333333, -9966.66666667, -10000.0],
+            [100.0, 0.0, 0.0, 33.3333333333, 66.6666666667, 33.3333333333, 10000.0, 9966.66666667, 9933.33333333],
         ],
         "objectives": [5000.0, 5000.0, 5000.0, 5000.0, 5000.0],
     },

@@ -31,7 +31,7 @@ from aoskit import (
 from aoskit.cli import main
 from aoskit.vertices import _PointIndex
 
-from conftest import random_bounded_lp
+from conftest import feasible_random_network, random_bounded_lp
 
 GAP0 = SublevelSpec(gap=0.0)
 
@@ -469,6 +469,127 @@ class TestVertexSetMeta:
         assert again.names == vs.names
         assert again.complete == vs.complete
         assert again.tau == pytest.approx(vs.tau)
+
+
+# ---------------------------------------------------------------------------
+# the walk from the caller's optimum against a cold solve of the sublevel model
+
+
+def assert_same_vertex_sets(warm, cold, tol=1e-9):
+    assert len(warm) == len(cold)
+    assert warm.complete == cold.complete
+    assert warm.meta.get("empty_reason") == cold.meta.get("empty_reason")
+    for p in warm.points:
+        assert np.abs(cold.points - p).max(axis=1).min() <= tol
+
+
+def count_sublevel_solves(monkeypatch):
+    """Count the calls of the cold sublevel solve inside enumerate_vertices."""
+    calls = []
+    real = vertices.solve_model
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vertices, "solve_model", counted)
+    return calls
+
+
+def with_sense(m: LpModel, sense: str) -> LpModel:
+    return LpModel(m.variables, m.constraints, Objective(sense, m.objective.coeffs), metadata=m.metadata)
+
+
+GAPS = st.sampled_from([0.0, 0.01, 0.05])
+
+
+class TestWalkFromTheOptimum:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["min", "max"]), GAPS)
+    def test_same_vertices_as_a_cold_start_on_random_lps(self, seed, sense, gap):
+        m = with_sense(random_bounded_lp(np.random.default_rng(seed)), sense)
+        best = solve_model(m)
+        assert best.status == "optimal"
+        spec = SublevelSpec(gap=gap)
+        assert_same_vertex_sets(
+            enumerate_vertices(m, best.value, spec, start=best), enumerate_vertices(m, best.value, spec)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 6), GAPS)
+    def test_same_vertices_as_a_cold_start_on_networks(self, seed, buses, gap):
+        # the two models verify walks: the boxed DC-OPF and the flow
+        # relaxation, both at the DC-OPF's level
+        net, dc, best = feasible_random_network(np.random.default_rng(seed), buses)
+        spec = SublevelSpec(tau=SublevelSpec(gap=gap).resolve(best.value, "min"))
+        nf = build_network_flow(net)
+        for m, start in ((dc, best), (nf, solve_model(nf))):
+            assert_same_vertex_sets(
+                enumerate_vertices(m, start.value, spec, start=start), enumerate_vertices(m, start.value, spec)
+            )
+
+    def test_the_optimum_saves_the_sublevel_solve(self, monkeypatch):
+        calls = count_sublevel_solves(monkeypatch)
+        m = TestTruncation().many_vertex_model()
+        best = solve_model(m)
+        vs = enumerate_vertices(m, best.value, TestTruncation.WIDE, start=best)
+        assert calls == []
+        assert len(vs) == 12 and vs.complete and vs.meta["rejected"] == 0
+        # a dependent equality row, dropped by the caller's solve, stays out
+        cube = [Variable(n, 0.0, 1.0) for n in "xyz"]
+        m = LpModel(cube, [
+            Constraint({"x": 1.0, "y": 1.0, "z": 1.0}, "=", 1.5),
+            Constraint({"x": 2.0, "y": 2.0, "z": 2.0}, "=", 3.0),
+            Constraint({"x": 1.0, "y": -1.0}, "<=", 0.5),
+        ], Objective("min", {"x": 1.0}))
+        best = solve_model(m)
+        assert best.sf.row_origin == (0, 2)
+        vs = enumerate_vertices(m, best.value, SublevelSpec(gap=2.0), start=best)
+        assert calls == []
+        assert vs.points.tolist() == [
+            [0.0, 0.5, 1.0], [0.0, 1.0, 0.5], [0.5, 0.0, 1.0], [0.5, 1.0, 0.0], [1.0, 0.5, 0.0]
+        ]
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_a_tau_below_the_optimum_falls_back_to_the_empty_answer(self, monkeypatch, sense):
+        calls = count_sublevel_solves(monkeypatch)
+        points = []
+        real = vertices.basic_point
+        monkeypatch.setattr(vertices, "basic_point", lambda *args: points.append(None) or real(*args))
+        m = unit_square(sense)
+        best = solve_model(m)
+        better_than_optimal = -0.5 if sense == "min" else 2.5
+        vs = enumerate_vertices(m, best.value, SublevelSpec(tau=better_than_optimal), start=best)
+        # the optimum's level slack is negative, so no basis at it is tried
+        assert len(calls) == 1 and points == []
+        assert len(vs) == 0 and vs.complete
+        assert vs.meta["empty_reason"]
+
+    def test_an_unusable_start_falls_back_to_a_cold_solve(self, monkeypatch):
+        calls = count_sublevel_solves(monkeypatch)
+        m = TestTruncation().many_vertex_model()
+        best = solve_model(m)
+        other = solve_model(unit_square())
+        infeasible = solve_model(LpModel([Variable("x", 0.0, 1.0)], [Constraint({"x": 1.0}, ">=", 2.0)],
+                                         Objective("min", {"x": 1.0})))
+        cold = enumerate_vertices(m, best.value, TestTruncation.WIDE)
+        for start in (other, infeasible):
+            assert_same_vertex_sets(enumerate_vertices(m, best.value, TestTruncation.WIDE, start=start), cold)
+        assert len(calls) == 3
+
+    def test_cli_enumerate_rank_and_verify_make_no_sublevel_solve(self, monkeypatch, tmp_path):
+        calls = count_sublevel_solves(monkeypatch)
+        path = str(resources.files("aoskit") / "fixtures" / "canonical_3bus.json")
+        secondary = tmp_path / "secondary.json"
+        secondary.write_text(json.dumps({"sense": "max", "coeffs": {"P[1]": 1.0}}))
+        for argv in (
+            ["enumerate", path, "--gap", "0.05"],
+            ["rank", path, "--gap", "0.05", "--secondary", str(secondary)],
+            ["verify", path, "--gap", "0.05"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,6 @@ def compare_projected_sets(a: VertexSet, b: VertexSet, dedup_tol: float = 1e-6) 
     Returns one of "equal", "a_subset_of_b", "b_subset_of_a",
     "incomparable" (strict subsets; "equal" covers mutual containment).
     """
-    if a.dimension != b.dimension:
-        raise ValueError(f"point dimensions differ: {a.dimension} vs {b.dimension}")
     a_in_b = a.is_subset_of(b, dedup_tol)
     b_in_a = b.is_subset_of(a, dedup_tol)
     if a_in_b and b_in_a:

@@ -1,7 +1,6 @@
 """Finite point sets with canonical ordering, plus uniqueness certificates."""
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,82 @@ def order_keys(values: np.ndarray) -> tuple[np.ndarray, float]:
     return np.round(values / grid) + 0.0, grid
 
 
+class _PointIndex:
+    """Points looked up by max-coordinate distance ``tol``: the one
+    implementation of the rule that two points within ``tol`` are one.
+
+    Points are hashed by their coordinates rounded to cells far wider than
+    ``tol``. A lookup also probes the neighbouring cell of every coordinate
+    lying within twice ``tol`` of a cell edge, so it sees every stored point
+    within ``tol``; when many coordinates lie that close, it scans instead.
+    Cells and edge masks are computed for all rows of a call at once, so
+    each row costs dict lookups and a distance check of its candidates.
+    """
+
+    _MAX_NEAR = 8
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.cell = 1024.0 * tol if tol > 0 else 1.0
+        self.cells: dict[bytes, list[int]] = {}
+        self.points: list[np.ndarray] = []
+
+    def _keys(self, rows: np.ndarray):
+        """Every row in cell units, its cell's number per coordinate, and
+        its cell's key."""
+        s = rows / self.cell + 0.5
+        base = np.floor(s)
+        flat, width = base.tobytes(), base.shape[1] * base.itemsize
+        return s, base, [flat[i * width : (i + 1) * width] for i in range(len(rows))]
+
+    def _store(self, key: bytes, y: np.ndarray) -> int:
+        self.cells.setdefault(key, []).append(len(self.points))
+        self.points.append(y)
+        return len(self.points) - 1
+
+    def add(self, rows: np.ndarray) -> None:
+        """Store every row, also one within ``tol`` of a stored point."""
+        rows = np.asarray(rows, dtype=float)
+        for key, y in zip(self._keys(rows)[2], rows):
+            self._store(key, y)
+
+    def find(self, rows: np.ndarray, store: bool = False) -> list[int]:
+        """For each row, the index of a stored point within ``tol`` of it,
+        or -1. With ``store``, a row with none is stored under the next
+        index, and later rows of the same call see it."""
+        rows = np.asarray(rows, dtype=float)
+        s, base, keys = self._keys(rows)
+        offset = (s - base) * self.cell
+        down = offset <= 2.0 * self.tol
+        near = down | (self.cell - offset <= 2.0 * self.tol)
+        near_cols: dict[int, list[int]] = {}
+        for r, i in zip(*(a.tolist() for a in np.nonzero(near))):
+            near_cols.setdefault(r, []).append(i)
+        hits = []
+        for r, key in enumerate(keys):
+            y, hit, cols = rows[r], -1, near_cols.get(r, ())
+            if len(cols) > self._MAX_NEAR:
+                close = np.abs(np.reshape(self.points, (-1, y.size)) - y).max(axis=1) <= self.tol
+                if close.any():
+                    hit = int(close.argmax())
+            else:
+                probe = [base[r]]
+                for i in cols:
+                    moved = [k.copy() for k in probe]
+                    for k in moved:
+                        k[i] += -1.0 if down[r, i] else 1.0
+                    probe += moved
+                probe = [k.tobytes() for k in probe] if cols else [key]
+                for p in (p for k in probe for p in self.cells.get(k, ())):
+                    if np.abs(self.points[p] - y).max() <= self.tol:
+                        hit = p
+                        break
+            if hit < 0 and store:
+                hit = self._store(key, y)
+            hits.append(hit)
+        return hits
+
+
 def dedup_and_sort(points: np.ndarray, dedup_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Points in canonical order with near-duplicates removed.
 
@@ -31,6 +106,9 @@ def dedup_and_sort(points: np.ndarray, dedup_tol: float) -> tuple[np.ndarray, np
     difference is at most ``dedup_tol``; in canonical order, a point is kept
     unless it clashes with a point kept before it. Returns (kept points,
     indices of the kept points in the input array).
+
+    Past the sort, the expected cost is linear in the number of points: the
+    kept points are looked up in a :class:`_PointIndex`.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -38,22 +116,12 @@ def dedup_and_sort(points: np.ndarray, dedup_tol: float) -> tuple[np.ndarray, np
     if pts.shape[0] == 0:
         return pts.copy(), np.zeros(0, dtype=int)
     pts = pts + 0.0  # normalize -0.0 so sorting and output are sign-stable
-    snapped, grid = order_keys(pts)
+    snapped, _ = order_keys(pts)
     order = np.lexsort(np.vstack([pts.T[::-1], snapped.T[::-1]]))
-    # a clash needs the first coordinates within dedup_tol, so snapped ones
-    # within dedup_tol / grid + 1 cells; the window adds one cell for rounding
-    reach = dedup_tol / grid + 2.0
-    kept = np.empty_like(pts)
-    firsts: list[float] = []  # kept snapped first coordinates, ascending in canonical order
-    kept_src: list[int] = []
-    for src in order:
-        p = pts[src]
-        lo = bisect.bisect_left(firsts, snapped[src, 0] - reach)
-        if lo == len(firsts) or np.abs(kept[lo : len(firsts)] - p).max(axis=1).min() > dedup_tol:
-            kept[len(firsts)] = p
-            firsts.append(snapped[src, 0])
-            kept_src.append(int(src))
-    return kept[: len(firsts)].copy(), np.array(kept_src, dtype=int)
+    # the first row that finds a kept point is the row that stored it
+    _, first = np.unique(_PointIndex(dedup_tol).find(pts[order], store=True), return_index=True)
+    src = order[first]
+    return pts[src], src
 
 
 @dataclass
@@ -111,12 +179,20 @@ class VertexSet:
     def contains_point(self, q, tol: float = 1e-6) -> bool:
         """Whether some listed point matches q within max-coordinate tol."""
         q = np.asarray(q, dtype=float)
+        if q.shape != (self.dimension,):
+            raise ValueError(f"point dimensions differ: {q.shape} vs ({self.dimension},)")
         if len(self) == 0:
             return False
         return bool(np.min(np.abs(self.points - q).max(axis=1)) <= tol)
 
     def is_subset_of(self, other: "VertexSet", tol: float = 1e-6) -> bool:
-        return all(other.contains_point(p, tol) for p in self.points)
+        """Whether every point matches one of other's within max-coordinate tol."""
+        if self.dimension != other.dimension:
+            raise ValueError(f"point dimensions differ: {self.dimension} vs {other.dimension}")
+        # other's points may lie within tol of each other; all of them count
+        index = _PointIndex(tol)
+        index.add(other.points)
+        return -1 not in index.find(self.points)
 
     def same_points(self, other: "VertexSet", tol: float = 1e-6) -> bool:
         return self.is_subset_of(other, tol) and other.is_subset_of(self, tol)

@@ -28,7 +28,7 @@ from collections import deque
 import numpy as np
 
 from .model import LpModel
-from .sets import UniquenessCertificate, VertexSet
+from .sets import UniquenessCertificate, VertexSet, _PointIndex
 from .simplex import (
     INFEASIBLE,
     NUMERIC_FAILURE,
@@ -116,55 +116,6 @@ def _at_bounds(x: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     return at_lower, at_upper
 
 
-class _PointIndex:
-    """Points looked up by max-coordinate distance ``tol``.
-
-    Points are hashed by their coordinates rounded to cells far wider than
-    ``tol``. A lookup also probes the neighbouring cell of every coordinate
-    lying within twice ``tol`` of a cell edge, so it sees every stored point
-    within ``tol``; when many coordinates lie that close, it scans instead.
-    """
-
-    _MAX_NEAR = 8
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.cell = 1024.0 * tol if tol > 0 else 1.0
-        self.cells: dict[bytes, list[int]] = {}
-        self.points: list[np.ndarray] = []
-
-    def _cell(self, y: np.ndarray):
-        s = y / self.cell + 0.5
-        base = np.floor(s)
-        return base, (s - base) * self.cell
-
-    def find(self, y: np.ndarray) -> int | None:
-        """Index of a stored point within ``tol`` of y, or None."""
-        base, offset = self._cell(y)
-        down = offset <= 2.0 * self.tol
-        near = np.nonzero(down | (self.cell - offset <= 2.0 * self.tol))[0]
-        if near.size > self._MAX_NEAR:
-            candidates = range(len(self.points))
-        else:
-            keys = [base]
-            for i in near:
-                shifted = [k.copy() for k in keys]
-                for k in shifted:
-                    k[i] += -1.0 if down[i] else 1.0
-                keys += shifted
-            candidates = (p for k in keys for p in self.cells.get(k.tobytes(), ()))
-        for p in candidates:
-            if np.abs(self.points[p] - y).max() <= self.tol:
-                return p
-        return None
-
-    def add(self, y: np.ndarray) -> int:
-        base, _ = self._cell(y)
-        self.cells.setdefault(base.tobytes(), []).append(len(self.points))
-        self.points.append(y)
-        return len(self.points) - 1
-
-
 class _Walk:
     """State shared by one enumeration and every cone walk it starts."""
 
@@ -200,7 +151,7 @@ class _Walk:
         """
         n0 = sf.n_original
         index = _PointIndex(tol)
-        index.add(x[:n0])
+        index.add(x[None, :n0])
         found = [(x, basis, st)]
         landed = {st.tobytes(): 0}  # vertex of every basis reached; -1 if dropped
         queue = deque([(0, basis, st, x)])
@@ -220,9 +171,8 @@ class _Walk:
                 if y is None:
                     landed[key] = -1
                     continue
-                hit = index.find(y[:n0])
-                if hit is None:
-                    hit = index.add(y[:n0])
+                hit = index.find(y[None, :n0], store=True)[0]
+                if hit == len(found):
                     found.append((y, new_basis, new_st))
                     if len(found) > limit:
                         return found[:-1], "vertex limit"

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoskit.sets import dedup_and_sort
+from aoskit.sets import VertexSet, _PointIndex, dedup_and_sort
 
 
 def quadratic_dedup(points: np.ndarray, tol: float):
@@ -34,9 +35,9 @@ NOISE = st.sampled_from([0.0, 1e-15, -1e-15, 2e-13, -2e-13, 1.8e-12, -1.8e-12])
 
 
 @st.composite
-def clustered_points(draw):
-    d = draw(st.integers(1, 3))
-    centres = draw(st.lists(st.lists(CENTRES, min_size=d, max_size=d), min_size=1, max_size=4))
+def clustered_points(draw, dims=st.integers(1, 3), coords=CENTRES):
+    d = draw(dims)
+    centres = draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=1, max_size=4))
     n = draw(st.integers(1, 25))
     rows = []
     for _ in range(n):
@@ -90,3 +91,117 @@ def test_noise_in_leading_coordinates_does_not_decide_the_order(drawn, tol, data
     scale = max(1.0, float(np.abs(points).max()))
     tails = [tuple(t) for t in np.round(kept[:, lead:] / (1e-9 * scale))]
     assert tails == sorted(tails)
+
+
+# ---------------------------------------------------------------------------
+# the near-point index against a scan of every stored point
+
+INDEX_TOL = 1e-6
+EDGE = 1024.0 * INDEX_TOL  # the index's cell width; cell edges lie at (k + 0.5) * EDGE
+NEAR_EDGES = st.builds(
+    lambda k, off: (k + 0.5) * EDGE + off,
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.5, -2.5, 0.3 * 1024]).map(lambda f: f * INDEX_TOL),
+)
+# at tol 0 the cells are 1 wide, with edges at k + 0.5
+UNIT_EDGES = st.builds(lambda k, off: k + 0.5 + off, st.integers(-3, 3), st.sampled_from([0.0, -0.0, 1e-6, -1e-6, 0.25]))
+
+
+@st.composite
+def index_rows(draw):
+    """(tol, batches): rows near cell edges, some a twin of an earlier row
+    within tol, cut into batches of one index call each."""
+    tol = draw(st.sampled_from([INDEX_TOL, 0.0]))
+    d = draw(st.integers(1, 4))
+    coords = NEAR_EDGES if tol else UNIT_EDGES
+    rows = draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=1, max_size=30))
+    for _ in range(draw(st.integers(0, 3))):
+        twin = np.array(rows[draw(st.integers(0, len(rows) - 1))])
+        shift = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0]), min_size=d, max_size=d))
+        rows.insert(draw(st.integers(0, len(rows))), list(twin + np.array(shift) * tol))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    spans = zip([0] + cuts, cuts + [len(rows)])
+    batches = [(np.array(rows[a:b], dtype=float).reshape(b - a, d), draw(st.sampled_from(["add", "find", "store"])))
+               for a, b in spans]
+    return tol, batches
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_rows())
+def test_point_index_finds_exactly_the_points_within_tol(drawn):
+    tol, batches = drawn
+    index = _PointIndex(tol)
+    stored: list[np.ndarray] = []
+    for rows, op in batches:
+        if op == "add":
+            index.add(rows)
+            stored += list(rows)
+            continue
+        hits = index.find(rows, store=op == "store")
+        assert len(hits) == len(rows)
+        for y, hit in zip(rows, hits):
+            # rows stored earlier in the same call count
+            close = [i for i, q in enumerate(stored) if np.abs(q - y).max() <= tol]
+            if close:
+                assert hit in close
+            elif op == "store":
+                assert hit == len(stored)
+                stored.append(y)
+            else:
+                assert hit == -1
+    assert [q.tolist() for q in index.points] == [q.tolist() for q in stored]
+
+
+# ---------------------------------------------------------------------------
+# containment against a scan of every point
+
+
+def scan_subset(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    return all(any(np.abs(p - q).max() <= tol for q in b) for p in a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    clustered_points(dims=st.integers(1, 4), coords=st.one_of(CENTRES, NEAR_EDGES)),
+    st.sampled_from([0.0, TOL, 2.5 * TOL]),
+    st.data(),
+)
+def test_containment_matches_a_scan(points, tol, data):
+    names = tuple(f"x{i}" for i in range(points.shape[1]))
+    pick = st.lists(st.booleans(), min_size=len(points), max_size=len(points)).map(np.array)
+    a, b = points[data.draw(pick)], points[data.draw(pick)]
+    # raw sets keep points within tol of each other; from_points drops them
+    for va, vb in [
+        (VertexSet(a, names), VertexSet(b, names)),
+        (VertexSet.from_points(a, names, dedup_tol=tol), VertexSet(b, names)),
+        (VertexSet(a, names), VertexSet.from_points(b, names, dedup_tol=tol)),
+    ]:
+        a_in_b = scan_subset(va.points, vb.points, tol)
+        b_in_a = scan_subset(vb.points, va.points, tol)
+        assert va.is_subset_of(vb, tol) == a_in_b
+        assert vb.is_subset_of(va, tol) == b_in_a
+        assert va.same_points(vb, tol) == (a_in_b and b_in_a)
+
+
+def test_containment_keeps_every_point_of_the_other_set():
+    # the other set's two points lie within tol of each other, and only the
+    # second matches the query
+    tol = 1e-6
+    other = VertexSet(np.array([[0.0], [0.9e-6]]), ("x",))
+    mine = VertexSet(np.array([[1.8e-6]]), ("x",))
+    assert mine.is_subset_of(other, tol)
+    assert not mine.same_points(other, tol)
+
+
+def test_containment_rejects_a_dimension_mismatch():
+    plane = VertexSet.from_points([[5.0, 5.0]], ("x", "y"))
+    line = VertexSet.from_points([[5.0]], ("x",))
+    for check in (
+        lambda: plane.same_points(line),
+        lambda: line.is_subset_of(plane),
+        lambda: plane.is_subset_of(line),
+        lambda: plane.contains_point([5.0]),
+        lambda: line.contains_point([5.0, 5.0]),
+    ):
+        with pytest.raises(ValueError, match="point dimensions differ"):
+            check()

@@ -29,7 +29,6 @@ from aoskit import (
     solve_model,
 )
 from aoskit.cli import main
-from aoskit.vertices import _PointIndex
 
 from conftest import feasible_random_network, random_bounded_lp
 
@@ -590,34 +589,3 @@ class TestWalkFromTheOptimum:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
         assert calls == []
-
-
-# ---------------------------------------------------------------------------
-# the walk's point index against a scan of every stored point
-
-INDEX_TOL = 1e-6
-EDGE = 1024.0 * INDEX_TOL  # the index's cell width; cell edges lie at (k + 0.5) * EDGE
-NEAR_EDGES = st.builds(
-    lambda k, off: (k + 0.5) * EDGE + off,
-    st.integers(-3, 3),
-    st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.5, -2.5, 0.3 * 1024]).map(lambda f: f * INDEX_TOL),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(
-    lambda d: st.lists(st.lists(NEAR_EDGES, min_size=d, max_size=d), min_size=1, max_size=30)
-))
-def test_point_index_finds_exactly_the_points_within_tol(rows):
-    index = _PointIndex(INDEX_TOL)
-    stored: list[np.ndarray] = []
-    for row in rows:
-        y = np.array(row)
-        close = [i for i, q in enumerate(stored) if np.abs(q - y).max() <= INDEX_TOL]
-        hit = index.find(y)
-        if close:
-            assert hit in close
-        else:
-            assert hit is None
-            assert index.add(y) == len(stored)
-            stored.append(y)

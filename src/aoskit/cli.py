@@ -97,7 +97,6 @@ class RunConfig:
     project: str | None = None
     secondary_path: str | None = None
     output: str | None = None
-    inject_bad_point: str | None = None
 
     def __post_init__(self):
         if self.gap is not None and self.tau is not None:
@@ -126,7 +125,6 @@ class RunConfig:
             project=getattr(ns, "project", None),
             secondary_path=getattr(ns, "secondary", None),
             output=getattr(ns, "output", None),
-            inject_bad_point=getattr(ns, "inject_bad_point", None),
         )
 
     def sublevel_spec(self) -> SublevelSpec:
@@ -192,7 +190,6 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="check projection containment across dcopf, network-flow and copper-plate relaxations")
     add_common(p_verify, projection=False)
-    p_verify.add_argument("--inject-bad-point", metavar="JSON", help=argparse.SUPPRESS)
 
     p_rank = sub.add_parser("rank", help="order enumerated alternatives by a secondary criterion")
     add_common(p_rank)
@@ -345,20 +342,6 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return code
 
 
-def _inject_point(vs: VertexSet, model: LpModel, raw: str) -> VertexSet:
-    try:
-        point = np.asarray(json.loads(raw), dtype=float)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise UsageError(f"--inject-bad-point must be a JSON number list: {exc}") from exc
-    if point.shape != (len(vs.names),):
-        raise UsageError(f"--inject-bad-point needs {len(vs.names)} coordinates")
-    points = np.vstack([vs.points, point[None, :]]) if len(vs) else point[None, :]
-    objectives = np.array([model.evaluate_objective(p) for p in points])
-    meta = dict(vs.meta)
-    meta["injected_point"] = point.tolist()
-    return VertexSet(points=points, names=vs.names, objectives=objectives, complete=vs.complete, meta=meta)
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     net = _load_network(cfg)
     dc = build_dcopf(net)
@@ -379,8 +362,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     dc_vs = enumerate_vertices(
         dc_boxed, base.value, abs_spec, limit=cfg.limit, dedup_tol=cfg.dedup_tol, start=base
     )
-    if cfg.inject_bad_point is not None:
-        dc_vs = _inject_point(dc_vs, dc_boxed, cfg.inject_bad_point)
     nf_base = solve_model(nf)
     if nf_base.status != OPTIMAL:
         _emit(cfg, {"status": nf_base.status, "message": nf_base.message})

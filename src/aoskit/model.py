@@ -43,10 +43,6 @@ class Variable:
             )
 
     @property
-    def is_free(self) -> bool:
-        return math.isinf(self.lower) and math.isinf(self.upper)
-
-    @property
     def is_fixed(self) -> bool:
         return self.lower == self.upper
 

@@ -14,6 +14,17 @@ Two independent routes to the same answer:
   and leaving-row rule are the simplex's own
   (:func:`~aoskit.simplex.basic_point`, :func:`~aoskit.simplex.ratio_test`,
   :func:`~aoskit.simplex.leaving_row`).
+
+  Above the optimum (a level tau > z*) the walk expands only the vertices
+  strictly below the level. Every vertex of the sublevel polytope is still
+  found: the vertices strictly below tau are connected, since each has a
+  simplex-monotone path to the optimum that stays below tau, and each
+  vertex on the level is adjacent to one of them (a point where an edge of
+  the polytope crosses the level, to that edge's lower end; a polytope
+  vertex lying on the level, along an improving edge). So on-level
+  vertices are landed and reported, but their edges are never computed
+  (Ziegler, *Lectures on Polytopes*, ch. 3; Murty 1968). At tau = z*
+  every vertex lies on the level, and all of them are expanded.
 * :func:`brute_force_vertices` intersects every n-subset of constraint,
   bound, and level-cut hyperplanes and keeps the feasible solutions. It is
   slower but has no pivoting logic to get wrong, so it serves as the
@@ -22,6 +33,7 @@ Two independent routes to the same answer:
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from collections import deque
 
@@ -54,6 +66,13 @@ _AT_BOUND = 1e-9
 # distance at which two points of a tangent cone's cross-section, whose
 # coordinates sum to 1, are one vertex
 _CONE_TOL = 1e-9
+# a vertex whose level-cut slack is at most this, relative to max(1, |rhs|)
+# of the level row, lies on the level
+_ON_LEVEL = 1e-9
+# the walk logs a progress line each time it has expanded this many bases
+_LOG_EVERY = 1000
+
+log = logging.getLogger("aoskit.vertices")
 
 
 class EnumerationError(RuntimeError):
@@ -124,6 +143,8 @@ class _Walk:
         self.max_bases = max_bases
         self.bases = 0  # bases whose edges were computed, cone walks included
         self.rejected = 0  # bases dropped: singular, or their point infeasible
+        self.on_level = 0  # distinct vertices landed on the level, never expanded
+        self.progress = None  # the outermost walk's (found, queue), for the log
 
     def point(self, sf: StandardForm, basis: list[int], st: np.ndarray) -> np.ndarray | None:
         """The basic point of (basis, st), with basic variables resting on a
@@ -141,13 +162,27 @@ class _Walk:
         x[at_upper] = sf.upper[at_upper]
         return x
 
-    def vertices(self, sf: StandardForm, basis: list[int], st: np.ndarray, x: np.ndarray, limit: float, tol: float):
+    def vertices(
+        self,
+        sf: StandardForm,
+        basis: list[int],
+        st: np.ndarray,
+        x: np.ndarray,
+        limit: float,
+        tol: float,
+        level: tuple[int, float] | None = None,
+    ):
         """Breadth-first walk over the vertices of sf's polytope.
 
         Starts at the vertex x of (basis, st), as :meth:`point` returns it.
         Vertices are told apart by their first ``sf.n_original`` coordinates
         at max-coordinate distance ``tol``. Returns ([(point, basis,
         statuses)] with one basis per vertex, the truncation reason or None).
+
+        ``level`` is (column, threshold) of the level cut's slack, given
+        only when x lies strictly below the level. A new vertex whose slack
+        is at most the threshold lies on the level: it is kept, but never
+        queued, so its edges are never computed.
         """
         n0 = sf.n_original
         index = _PointIndex(tol)
@@ -155,11 +190,16 @@ class _Walk:
         found = [(x, basis, st)]
         landed = {st.tobytes(): 0}  # vertex of every basis reached; -1 if dropped
         queue = deque([(0, basis, st, x)])
+        if self.progress is None:
+            self.progress = (found, queue)
         while queue:
             if self.bases >= self.max_bases:
                 return found, "basis budget"
             self.bases += 1
             vid, basis, st, x = queue.popleft()
+            if self.bases % _LOG_EVERY == 0:
+                top_found, top_queue = self.progress
+                log.info("walk: %d bases expanded, %d vertices, %d queued", self.bases, len(top_found), len(top_queue))
             moves, truncated = self._edges(sf, basis, st, x)
             if truncated:
                 return found, truncated
@@ -176,7 +216,10 @@ class _Walk:
                     found.append((y, new_basis, new_st))
                     if len(found) > limit:
                         return found[:-1], "vertex limit"
-                    queue.append((hit, new_basis, new_st, y))
+                    if level is not None and y[level[0]] <= level[1]:
+                        self.on_level += 1
+                    else:
+                        queue.append((hit, new_basis, new_st, y))
                 elif hit == vid:
                     # an edge shorter than tol: its far end is another basis
                     # of this vertex, whose own edges may lead elsewhere
@@ -381,6 +424,15 @@ def _start_basis(sub: LpModel, start: SimplexResult | None):
     return sf, list(start.basis) + [slack], st
 
 
+def _level_slack(sf: StandardForm, level: int, x: np.ndarray) -> tuple[int, float] | None:
+    """(column, threshold) of the slack of the row that ``level`` names,
+    for :meth:`_Walk.vertices`; None when the start x lies on the level."""
+    i = sf.row_origin.index(level)
+    j = sf.n_original + int(np.flatnonzero(sf.A[i, sf.n_original :])[0])
+    threshold = _ON_LEVEL * max(1.0, abs(sf.b[i])) / abs(sf.A[i, j])
+    return (j, threshold) if x[j] > threshold else None
+
+
 def enumerate_vertices(
     model: LpModel,
     z_star: float,
@@ -408,6 +460,12 @@ def enumerate_vertices(
     or when it cannot be used (not optimal, another model, an optimum
     beyond the level, an unusable basis), the sublevel model is solved from
     scratch. A complete vertex set is the same either way.
+
+    When the optimum lies strictly below the level, the walk expands only
+    the vertices strictly below it; vertices on the level are found from
+    their neighbours below and never expanded (see the module docstring).
+    ``meta["bases_visited"]`` counts the bases whose edges were computed,
+    and ``meta["on_level"]`` the vertices landed on the level instead.
     """
     sub = make_sublevel_model(model, z_star, spec)
     tau = sub.metadata["sublevel_tau"]
@@ -436,11 +494,16 @@ def enumerate_vertices(
         sf = res.sf
         basis, st = _crash_free_columns(sf, list(res.basis), np.array(res.statuses, dtype="<U1"))
         x = walk.point(sf, basis, st)
-    found, truncated = ([], None) if x is None else walk.vertices(sf, basis, st, x, limit, dedup_tol)
+    if x is None:
+        found, truncated = [], None
+    else:
+        level = _level_slack(sf, sub.metadata["sublevel_row"], x)
+        found, truncated = walk.vertices(sf, basis, st, x, limit, dedup_tol, level)
     if truncated is None and walk.rejected:
         truncated = "numerical"
 
     meta["bases_visited"] = walk.bases
+    meta["on_level"] = walk.on_level
     meta["rejected"] = walk.rejected
     if truncated:
         meta["truncated"] = truncated

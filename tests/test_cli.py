@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from aoskit import Constraint, LpModel, Objective, Variable
+from aoskit import Constraint, LpModel, Objective, Variable, VertexSet, cli
 from aoskit.cli import main
 from aoskit.simplex import NUMERIC_FAILURE, SimplexResult
 from aoskit.vertices import NumericFailureError
@@ -199,6 +199,22 @@ class TestOracle:
 # verify
 
 
+def add_zero_point_to_dcopf_sets(monkeypatch):
+    """Every DC-OPF vertex set that ``verify`` enumerates gains the all-zero
+    point, which serves no load and so breaks containment."""
+    real = cli.enumerate_vertices
+
+    def with_zero_point(model, *args, **kwargs):
+        vs = real(model, *args, **kwargs)
+        if model.metadata.get("model_family") != "dcopf":
+            return vs
+        points = np.vstack([vs.points, np.zeros((1, model.n_variables))])
+        objectives = np.array([model.evaluate_objective(p) for p in points])
+        return VertexSet(points=points, names=vs.names, objectives=objectives, complete=vs.complete, meta=vs.meta)
+
+    monkeypatch.setattr(cli, "enumerate_vertices", with_zero_point)
+
+
 class TestVerify:
     def test_canonical_containment_passes(self, run):
         code, out, _ = run("verify", CANONICAL)
@@ -209,17 +225,17 @@ class TestVerify:
         assert doc["vertex_counts"] == {"dcopf": 5, "nf": 4}
         assert [p["label"] for p in doc["result"]["pairs"]] == ["dcopf->nf", "dcopf->cp", "nf->cp"]
 
-    def test_injected_bad_point_fails_verification(self, run, tmp_path):
+    def test_injected_bad_point_fails_verification(self, run, tmp_path, monkeypatch):
+        add_zero_point_to_dcopf_sets(monkeypatch)
         report = tmp_path / "verify.json"
-        bad = json.dumps([0.0] * 9)
-        code, _, _ = run("verify", CANONICAL, "--inject-bad-point", bad, "--output", report)
+        code, _, _ = run("verify", CANONICAL, "--output", report)
         doc = json.loads(report.read_text())
         assert code == 1
         assert doc["passed"] is False
         failing = [p for p in doc["result"]["pairs"] if not p["passed"]]
         assert failing  # the injected point must break at least one pair
 
-    def test_partial_vertex_sets_exit_truncated(self, run, tmp_path):
+    def test_partial_vertex_sets_exit_truncated(self, run, tmp_path, monkeypatch):
         # --limit 1 truncates both enumerations: a pass on partial sets is not
         # a success, while a violated constraint stays a failure
         code, out, _ = run("verify", CANONICAL, "--limit", "1", "--gap", "0.05")
@@ -227,8 +243,8 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["complete"] is False
         assert code == 4
-        bad = json.dumps([0.0] * 9)
-        code, out, _ = run("verify", CANONICAL, "--limit", "1", "--gap", "0.05", "--inject-bad-point", bad)
+        add_zero_point_to_dcopf_sets(monkeypatch)
+        code, out, _ = run("verify", CANONICAL, "--limit", "1", "--gap", "0.05")
         doc = json.loads(out)
         assert doc["passed"] is False
         assert doc["complete"] is False

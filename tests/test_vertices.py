@@ -1,11 +1,12 @@
 import contextlib
 import io
 import json
+import logging
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aoskit import vertices
@@ -589,3 +590,93 @@ class TestWalkFromTheOptimum:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
         assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# above the optimum the walk expands only the vertices strictly below the level
+
+
+class TestExpandOnlyBelowTheLevel:
+    @pytest.mark.parametrize("gap", [0.01, 0.1, 0.5])
+    def test_matches_oracle_on_random_lps(self, gap):
+        rng = np.random.default_rng([16, round(gap * 100)])
+        on_level = 0
+        for i in range(300):
+            m = random_bounded_lp(rng)
+            best = solve_model(m)
+            spec = SublevelSpec(gap=gap)
+            vs = enumerate_vertices(m, best.value, spec, start=best if i % 2 else None)
+            bf = brute_force_vertices(m, best.value, spec)
+            assert vs.complete
+            assert vs.same_points(bf) and len(vs) == len(bf)
+            on_level += vs.meta["on_level"]
+        assert on_level > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["min", "max"]), st.integers(0, 2**16), st.booleans())
+    def test_matches_oracle_with_the_level_through_a_vertex(self, seed, sense, pick, warm):
+        # tau is the value of a vertex of P that is not optimal: that vertex
+        # lies exactly on the level, with edges of P leading below and above
+        m = with_sense(random_bounded_lp(np.random.default_rng(seed)), sense)
+        best = solve_model(m)
+        everything = SublevelSpec(tau=1e6 if sense == "min" else -1e6)
+        values = brute_force_vertices(m, best.value, everything).objectives
+        above = values[np.abs(values - best.value) > 1e-6 * max(1.0, abs(best.value))]
+        assume(above.size)
+        spec = SublevelSpec(tau=float(above[pick % above.size]))
+        vs = enumerate_vertices(m, best.value, spec, start=best if warm else None)
+        bf = brute_force_vertices(m, best.value, spec)
+        assert vs.complete
+        assert vs.same_points(bf) and len(vs) == len(bf)
+
+    def test_matches_oracle_on_small_networks(self):
+        on_level = 0
+        for seed in range(8):
+            for buses in (3, 4):
+                _, dc, best = feasible_random_network(np.random.default_rng(seed), buses)
+                for gap in (0.01, 0.05):
+                    spec = SublevelSpec(gap=gap)
+                    vs = enumerate_vertices(dc, best.value, spec, start=best)
+                    bf = brute_force_vertices(dc, best.value, spec)
+                    assert vs.complete
+                    assert vs.same_points(bf) and len(vs) == len(bf)
+                    on_level += vs.meta["on_level"]
+        assert on_level > 0
+
+    def test_bases_visited_counts_only_expanded_vertices(self):
+        # min x over the unit square: at tau 0.5 the corners (0, 0) and
+        # (0, 1) lie below the level and (0.5, 0) and (0.5, 1) on it; at
+        # gap 0 the optimal edge x = 0 is all there is, on the level, and
+        # both of its corners are expanded
+        m = LpModel(variables=unit_square().variables, objective=Objective("min", {"x": 1.0}))
+        vs = enumerate_vertices(m, 0.0, SublevelSpec(tau=0.5))
+        assert vs.points.tolist() == [[0.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.5, 1.0]]
+        assert vs.meta["bases_visited"] == 2 < len(vs)
+        assert vs.meta["on_level"] == 2
+        vs = enumerate_vertices(m, 0.0, GAP0)
+        assert vs.points.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+        assert vs.meta["bases_visited"] == len(vs) == 2
+        assert vs.meta["on_level"] == 0
+
+    def test_progress_is_logged_per_expanded_basis(self, monkeypatch, caplog):
+        monkeypatch.setattr(vertices, "_LOG_EVERY", 1)
+        with caplog.at_level(logging.INFO, logger="aoskit.vertices"):
+            vs = enumerate_vertices(unit_square(), 0.0, SublevelSpec(tau=1.5))
+        assert vs.meta["bases_visited"] == 3 and vs.meta["on_level"] == 2
+        assert [r.getMessage() for r in caplog.records if r.name == "aoskit.vertices"] == [
+            "walk: 1 bases expanded, 1 vertices, 0 queued",
+            "walk: 2 bases expanded, 3 vertices, 1 queued",
+            "walk: 3 bases expanded, 4 vertices, 0 queued",
+        ]
+
+    def test_progress_log_leaves_the_report_alone(self, monkeypatch, caplog):
+        path = str(resources.files("aoskit") / "fixtures" / "canonical_3bus.json")
+        reports = []
+        for every in (1000, 1):
+            monkeypatch.setattr(vertices, "_LOG_EVERY", every)
+            out = io.StringIO()
+            with caplog.at_level(logging.INFO, logger="aoskit.vertices"), contextlib.redirect_stdout(out):
+                assert main(["enumerate", path, "--gap", "0.05"]) == 0
+            reports.append(out.getvalue())
+        assert reports[0] == reports[1]
+        assert any(r.name == "aoskit.vertices" for r in caplog.records)

@@ -66,9 +66,6 @@ _AT_BOUND = 1e-9
 # distance at which two points of a tangent cone's cross-section, whose
 # coordinates sum to 1, are one vertex
 _CONE_TOL = 1e-9
-# a vertex whose level-cut slack is at most this, relative to max(1, |rhs|)
-# of the level row, lies on the level
-_ON_LEVEL = 1e-9
 # the walk logs a progress line each time it has expanded this many bases
 _LOG_EVERY = 1000
 
@@ -170,7 +167,7 @@ class _Walk:
         x: np.ndarray,
         limit: float,
         tol: float,
-        level: tuple[int, float] | None = None,
+        level: int | None = None,
     ):
         """Breadth-first walk over the vertices of sf's polytope.
 
@@ -179,10 +176,12 @@ class _Walk:
         at max-coordinate distance ``tol``. Returns ([(point, basis,
         statuses)] with one basis per vertex, the truncation reason or None).
 
-        ``level`` is (column, threshold) of the level cut's slack, given
-        only when x lies strictly below the level. A new vertex whose slack
-        is at most the threshold lies on the level: it is kept, but never
-        queued, so its edges are never computed.
+        ``level`` is the column of the level cut's slack, given only when x
+        lies strictly below the level. A new vertex whose slack is exactly 0,
+        as :meth:`point` leaves it, lies on the level: it is kept, but never
+        queued, so its edges are never computed. Any positive slack is
+        strictly below, however small: an edge from there may cross the
+        level far from the vertex.
         """
         n0 = sf.n_original
         index = _PointIndex(tol)
@@ -216,7 +215,7 @@ class _Walk:
                     found.append((y, new_basis, new_st))
                     if len(found) > limit:
                         return found[:-1], "vertex limit"
-                    if level is not None and y[level[0]] <= level[1]:
+                    if level is not None and y[level] == 0.0:
                         self.on_level += 1
                     else:
                         queue.append((hit, new_basis, new_st, y))
@@ -424,15 +423,6 @@ def _start_basis(sub: LpModel, start: SimplexResult | None):
     return sf, list(start.basis) + [slack], st
 
 
-def _level_slack(sf: StandardForm, level: int, x: np.ndarray) -> tuple[int, float] | None:
-    """(column, threshold) of the slack of the row that ``level`` names,
-    for :meth:`_Walk.vertices`; None when the start x lies on the level."""
-    i = sf.row_origin.index(level)
-    j = sf.n_original + int(np.flatnonzero(sf.A[i, sf.n_original :])[0])
-    threshold = _ON_LEVEL * max(1.0, abs(sf.b[i])) / abs(sf.A[i, j])
-    return (j, threshold) if x[j] > threshold else None
-
-
 def enumerate_vertices(
     model: LpModel,
     z_star: float,
@@ -497,7 +487,9 @@ def enumerate_vertices(
     if x is None:
         found, truncated = [], None
     else:
-        level = _level_slack(sf, sub.metadata["sublevel_row"], x)
+        # the level row is the last row of either form, its slack the last
+        # column: cleaning drops only equality rows, which have no slack
+        level = sf.n - 1 if x[sf.n - 1] > 0 else None
         found, truncated = walk.vertices(sf, basis, st, x, limit, dedup_tol, level)
     if truncated is None and walk.rejected:
         truncated = "numerical"

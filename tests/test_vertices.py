@@ -629,6 +629,54 @@ class TestExpandOnlyBelowTheLevel:
         assert vs.complete
         assert vs.same_points(bf) and len(vs) == len(bf)
 
+    def test_a_vertex_just_below_a_large_level_is_expanded(self):
+        # (1, 1, 0) lies 5e-6 below tau, within 1e-9 * |tau|; the edge up
+        # along z crosses the level at (1, 1, 0.005), which no other vertex
+        # below the level reaches. The oracle runs at feas_tol 1e-9: at
+        # 1e-7 it also keeps (1 - 1e-7, 1, 1), where the level meets x's
+        # lower bound just outside the box.
+        m = LpModel(
+            variables=[Variable("x", 1.0, 2.0), Variable("y", 0.0, 1.0), Variable("z", 0.0, 1.0)],
+            objective=Objective("min", {"x": 1e4, "y": 1.0, "z": 1e-3}),
+        )
+        best = solve_model(m)
+        spec = SublevelSpec(tau=10001.000005)
+        bf = brute_force_vertices(m, best.value, spec, feas_tol=1e-9)
+        assert [1.0, 1.0, 0.005] in np.round(bf.points, 9).tolist()
+        for start in (None, best):
+            vs = enumerate_vertices(m, best.value, spec, start=start)
+            assert vs.complete
+            assert vs.same_points(bf) and len(vs) == len(bf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["min", "max"]), st.integers(0, 2**16), st.booleans())
+    def test_matches_oracle_with_a_large_level_just_past_a_vertex(self, seed, sense, pick, warm):
+        # a column t in [1, 2] costing 1e5 puts |tau| near 1e5; tau sits
+        # 5e-5 past the value of a vertex with t = 1, so that vertex lies
+        # strictly below the level by less than 1e-9 * |tau|, and edges
+        # with rates up to 50 cross the level more than dedup_tol away.
+        # The oracle runs at feas_tol 1e-9: at 1e-7 it would also keep
+        # points where the level meets t's lower bound up to 1e-7 outside.
+        base = with_sense(random_bounded_lp(np.random.default_rng(seed)), sense)
+        big = 1e5 if sense == "min" else -1e5
+        m = LpModel(
+            variables=list(base.variables) + [Variable("t", 1.0, 2.0)],
+            constraints=base.constraints,
+            objective=Objective(sense, {**base.objective.coeffs, "t": big}),
+        )
+        best = solve_model(m)
+        everything = SublevelSpec(tau=1e6 if sense == "min" else -1e6)
+        values = brute_force_vertices(m, best.value, everything).objectives
+        near = np.abs(values - best.value) < 1e3
+        above = values[near & (np.abs(values - best.value) > 1e-6 * abs(best.value))]
+        assume(above.size)
+        v = float(above[pick % above.size])
+        spec = SublevelSpec(tau=v + 5e-5 if sense == "min" else v - 5e-5)
+        vs = enumerate_vertices(m, best.value, spec, start=best if warm else None)
+        bf = brute_force_vertices(m, best.value, spec, feas_tol=1e-9)
+        assert vs.complete
+        assert vs.same_points(bf) and len(vs) == len(bf)
+
     def test_matches_oracle_on_small_networks(self):
         on_level = 0
         for seed in range(8):

@@ -20,6 +20,7 @@ from aoskit import (
     network_from_dict,
     solve_model,
 )
+from aoskit import simplex
 from aoskit.cli import main
 from aoskit.simplex import (
     TOL_FEAS,
@@ -31,7 +32,7 @@ from aoskit.simplex import (
     solve_standard,
 )
 
-from conftest import random_bounded_lp
+from conftest import feasible_random_network, random_bounded_lp
 
 
 def scan_optimum(model, feas_tol=1e-7):
@@ -608,3 +609,49 @@ def test_warm_start_honours_a_small_bound_change():
     assert warm.is_optimal
     assert warm.x_std[0] == 1.0 - 1e-9
     assert warm.value == pytest.approx(1e-9, rel=1e-6)
+
+
+# Bland's rule, which a long degenerate stall switches on for good
+
+
+def tightened(sf, x, j):
+    """sf with column j's range cut to the half that excludes x[j], or None
+    when x[j] rests on its only finite bound."""
+    lower, upper = sf.lower.copy(), sf.upper.copy()
+    if x[j] > lower[j] > -np.inf:
+        upper[j] = (lower[j] + x[j]) / 2
+    elif x[j] < upper[j] < np.inf:
+        lower[j] = (x[j] + upper[j]) / 2
+    else:
+        return None
+    return dataclasses.replace(sf, lower=lower, upper=upper)
+
+
+def test_blands_rule_matches_the_default_pricing(monkeypatch):
+    models = [random_bounded_lp(np.random.default_rng([18, seed])) for seed in range(150)]
+    models += [feasible_random_network(np.random.default_rng(seed), 4 + seed % 4)[1] for seed in range(8)]
+    cases = []
+    for k, m in enumerate(models):
+        parent = solve_model(m)
+        assert parent.is_optimal
+        child = tightened(parent.sf, parent.x_std, k % m.n_variables)
+        cases.append((m, parent, child, solve_from(child, parent) if child else None))
+
+    real = simplex._BoundedSimplex.__init__
+
+    def stalled(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        self.degenerate_run = math.inf  # over the stall limit: the first step switches to Bland
+
+    monkeypatch.setattr(simplex._BoundedSimplex, "__init__", stalled)
+    warm_runs = 0
+    for m, parent, child, warm in cases:
+        pairs = [(parent, solve_model(m))]
+        if child is not None:
+            pairs.append((warm, solve_from(child, parent)))
+            warm_runs += 1
+        for default, bland in pairs:
+            assert bland.status == default.status
+            if default.is_optimal:
+                assert bland.value == pytest.approx(default.value, abs=1e-9 * max(1.0, abs(default.value)))
+    assert warm_runs > 100

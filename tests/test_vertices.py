@@ -243,6 +243,64 @@ class TestUnboundedHandling:
         assert vs.points.tolist() == [[0.0, 0.0], [0.0, 100.0]]
 
 
+def free_box_lp(rng: np.random.Generator) -> LpModel:
+    """Free variables bounded only by rows +-x_j <= u_j, and now and then a
+    coupling row through an interior point, with a cost of +-1 on one of
+    them: at the optimum the simplex often leaves a free column nonbasic."""
+    n = int(rng.integers(1, 5))
+    names = [f"x{j}" for j in range(n)]
+    cons = []
+    for nm in names:
+        cons.append(Constraint({nm: 1.0}, "<=", float(np.round(rng.uniform(0.5, 5), 2))))
+        cons.append(Constraint({nm: -1.0}, "<=", float(np.round(rng.uniform(0.5, 5), 2))))
+    for _ in range(int(rng.integers(0, 2))):
+        coeffs = {nm: float(np.round(rng.uniform(-2, 2), 1)) for nm in names if rng.random() < 0.6}
+        if coeffs:
+            cons.append(Constraint(coeffs, "<=", float(np.round(rng.uniform(0.5, 3), 1))))
+    j = int(rng.integers(n))
+    return LpModel(
+        [Variable(nm) for nm in names],
+        cons,
+        Objective(str(rng.choice(["min", "max"])), {names[j]: float(rng.choice([-1.0, 1.0]))}),
+    )
+
+
+class TestFreeColumns:
+    @pytest.mark.parametrize("gap", [0.0, 0.2])
+    def test_crashed_free_columns_match_oracle(self, monkeypatch, gap):
+        crashed = []
+        real = vertices._crash_free_columns
+
+        def counted(sf, basis, st):
+            crashed.append(int((st == "F").sum()))
+            return real(sf, basis, st)
+
+        monkeypatch.setattr(vertices, "_crash_free_columns", counted)
+        spec = SublevelSpec(gap=gap)
+        for seed in range(100):
+            m = free_box_lp(np.random.default_rng([17, seed]))
+            best = solve_model(m)
+            assert best.status == "optimal"
+            bf = brute_force_vertices(m, best.value, spec)
+            for start in (best, None):
+                vs = enumerate_vertices(m, best.value, spec, start=start)
+                assert vs.complete
+                assert vs.same_points(bf) and len(vs) == len(bf)
+        assert sum(crashed) > 0
+
+    def test_a_free_column_in_no_row_raises_with_hint(self):
+        m = LpModel(
+            variables=[Variable("x"), Variable("y")],
+            constraints=[Constraint({"x": 1.0}, "<=", 1.0), Constraint({"x": -1.0}, "<=", 1.0)],
+            objective=Objective("min", {"x": 1.0}),
+        )
+        best = solve_model(m)
+        assert best.statuses[1] == "F"
+        for start in (best, None):
+            with pytest.raises(UnboundedRegionError, match="apply_box_bounds"):
+                enumerate_vertices(m, best.value, GAP0, start=start)
+
+
 class TestTruncation:
     def many_vertex_model(self):
         # regular 12-gon of tangent half-planes; a far-away level cut keeps

@@ -154,16 +154,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="aoskit", description="enumerate and compare alternative optima of linear programs")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, *, levels=True, box=True, limits=True, projection=True):
+    def add_common(p, *, limits=True, projection=True):
         p.add_argument("input", help="path to an aos-net/1 or aos-lp/1 JSON file")
         p.add_argument("--output", metavar="PATH", help="write the JSON report here instead of stdout")
-        if levels:
-            g = p.add_mutually_exclusive_group()
-            g.add_argument("--gap", type=float, help="relative optimality gap (default 0: exact optima only)")
-            g.add_argument("--tau", type=float, help="absolute objective threshold, overrides --gap")
-        if box:
-            p.add_argument("--box-bound", type=float, default=1e4, metavar="M",
-                           help="replace infinite variable bounds with +/- M (default 1e4)")
+        g = p.add_mutually_exclusive_group()
+        g.add_argument("--gap", type=float, help="relative optimality gap (default 0: exact optima only)")
+        g.add_argument("--tau", type=float, help="absolute objective threshold, overrides --gap")
+        p.add_argument("--box-bound", type=float, default=1e4, metavar="M",
+                       help="replace infinite variable bounds with +/- M (default 1e4)")
         if limits:
             p.add_argument("--limit", type=int, default=10_000, metavar="N",
                            help="stop after N distinct vertices (default 10000)")

@@ -164,19 +164,14 @@ def drop_redundant_equalities(
         return sf, [], False
 
     keep_arr = np.array(sorted(keep), dtype=int)
-    # prune slack columns whose only row was dropped
-    col_used = np.ones(sf.n, dtype=bool)
-    for j in range(sf.n_original, sf.n):
-        rows_j = np.nonzero(sf.A[:, j])[0]
-        if rows_j.size and all(r in dropped for r in rows_j):
-            col_used[j] = False
+    # only rows without a slack are dropped, so every column stays
     reduced = StandardForm(
-        A=sf.A[keep_arr][:, col_used].copy(),
-        b=sf.b[keep_arr].copy(),
-        c=sf.c[col_used].copy(),
-        lower=sf.lower[col_used].copy(),
-        upper=sf.upper[col_used].copy(),
-        col_names=tuple(n for n, u in zip(sf.col_names, col_used) if u),
+        A=sf.A[keep_arr],
+        b=sf.b[keep_arr],
+        c=sf.c.copy(),
+        lower=sf.lower.copy(),
+        upper=sf.upper.copy(),
+        col_names=sf.col_names,
         n_original=sf.n_original,
         sense_sign=sf.sense_sign,
         obj_constant=sf.obj_constant,

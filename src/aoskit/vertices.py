@@ -96,40 +96,49 @@ def _crash_free_columns(sf: StandardForm, basis: list[int], st: np.ndarray):
     basis and the statuses.
 
     A free column resting between bounds means the current point is not a
-    vertex; driving it until some basic variable hits a bound fixes that.
-    If neither direction is blocked the region contains a whole line, which
-    no box has bounded away, so enumeration refuses to start.
+    vertex; driving it upward until some basic variable hits a bound fixes
+    that. If nothing blocks it, the region contains a ray, which no box has
+    bounded away, so enumeration refuses to start.
     """
-    while True:
-        free_nb = [j for j in range(sf.n) if st[j] == "F"]
-        if not free_nb:
-            return sorted(basis), st
-        j = free_nb[0]
+    for j in np.flatnonzero(st == "F").tolist():
         x = basic_point(sf.A, sf.b, sf.lower, sf.upper, basis, st)
         w = np.linalg.solve(sf.A[:, basis], sf.A[:, j]) if basis else np.zeros(0)
-        pivoted = False
-        for direction in (1.0, -1.0):
-            rate = -direction * w
-            ratios, t = ratio_test(sf.lower[basis], sf.upper[basis], x[basis], rate)
-            if math.isfinite(t):
-                r = leaving_row(ratios, t, w)
-                st[basis[r]] = "U" if rate[r] > 0 else "L"
-                st[j] = "B"
-                basis[r] = j
-                pivoted = True
-                break
-        if not pivoted:
-            raise UnboundedRegionError(
-                f"free direction through column {sf.col_names[j]!r} is unblocked both ways; "
-                + _BOX_HINT
-            )
+        [(basis, st)] = _far_ends(sf, basis, st, x[basis], [j], [1.0], -w[:, None])
+    return sorted(basis), st
 
 
-def _at_bounds(x: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-    """Masks of the entries of x resting on their lower and upper bounds."""
-    at_lower = np.isfinite(lower) & (x - lower <= _AT_BOUND * (1.0 + np.abs(lower)))
-    at_upper = np.isfinite(upper) & (upper - x <= _AT_BOUND * (1.0 + np.abs(upper)))
-    return at_lower, at_upper
+def _far_ends(sf: StandardForm, basis: list[int], st: np.ndarray, xb, cols, sign, rate):
+    """(basis, statuses) at the far end of each move from (basis, st): column
+    ``cols[k]`` leaves its bound in the direction ``sign[k]``.
+
+    ``xb`` holds the basic variables' values and ``rate[:, k]`` their rates
+    along move k; its magnitudes are those of B^-1 A_j, which the leaving-row
+    rule compares. All ratio tests run at once. An unblocked move is a bound
+    flip, or a feasible ray when the column's other bound is infinite too;
+    a blocked one pivots the column in for the basic variable that
+    :func:`~aoskit.simplex.leaving_row` picks, which leaves at the bound its
+    rate runs into.
+    """
+    ratios, t_basic = ratio_test(sf.lower[basis], sf.upper[basis], xb, rate)
+    own_range = sf.upper[cols] - sf.lower[cols]
+    ray = ~np.isfinite(t_basic) & ~np.isfinite(own_range)
+    if ray.any():
+        j = cols[int(np.argmax(ray))]
+        raise UnboundedRegionError(f"feasible ray through column {sf.col_names[j]!r}; " + _BOX_HINT)
+    flip = own_range <= t_basic
+    leave = None if flip.all() else leaving_row(ratios, t_basic, rate)
+    out = []
+    for k, j in enumerate(cols):
+        new_st = st.copy()
+        if flip[k]:
+            new_st[j] = "U" if sign[k] > 0 else "L"
+            out.append((basis, new_st))
+        else:
+            r = int(leave[k])
+            new_st[j] = "B"
+            new_st[basis[r]] = "U" if rate[r, k] > 0 else "L"
+            out.append((sorted(basis[:r] + basis[r + 1 :] + [j]), new_st))
+    return out
 
 
 class _Walk:
@@ -154,9 +163,11 @@ class _Walk:
         if sf.max_violation(x) > 1e-7:
             self.rejected += 1
             return None
-        at_lower, at_upper = _at_bounds(x, sf.lower, sf.upper)
-        x[at_lower] = sf.lower[at_lower]
-        x[at_upper] = sf.upper[at_upper]
+        lb, ub = sf.lower, sf.upper
+        at_lower = np.isfinite(lb) & (x - lb <= _AT_BOUND * (1.0 + np.abs(lb)))
+        at_upper = np.isfinite(ub) & (ub - x <= _AT_BOUND * (1.0 + np.abs(ub)))
+        x[at_lower] = lb[at_lower]
+        x[at_upper] = ub[at_upper]
         return x
 
     def vertices(
@@ -187,7 +198,7 @@ class _Walk:
         index = _PointIndex(tol)
         index.add(x[None, :n0])
         found = [(x, basis, st)]
-        landed = {st.tobytes(): 0}  # vertex of every basis reached; -1 if dropped
+        landed = {st.tobytes()}  # every basis reached, dropped ones included
         queue = deque([(0, basis, st, x)])
         if self.progress is None:
             self.progress = (found, queue)
@@ -206,9 +217,9 @@ class _Walk:
                 key = new_st.tobytes()
                 if key in landed:
                     continue
+                landed.add(key)
                 y = self.point(sf, new_basis, new_st)
                 if y is None:
-                    landed[key] = -1
                     continue
                 hit = index.find(y[None, :n0], store=True)[0]
                 if hit == len(found):
@@ -223,7 +234,6 @@ class _Walk:
                     # an edge shorter than tol: its far end is another basis
                     # of this vertex, whose own edges may lead elsewhere
                     queue.append((vid, new_basis, new_st, y))
-                landed[key] = hit
         return found, None
 
     def _edges(self, sf: StandardForm, basis: list[int], st: np.ndarray, x: np.ndarray):
@@ -232,7 +242,8 @@ class _Walk:
         (basis, st) is a basis at x. The edges are the extreme rays of x's
         tangent cone. A nonbasic column that moves no basic variable resting
         on a bound is one; when no basic variable rests on a bound, those
-        are all. The rest come from :meth:`_cone_moves`.
+        are all. The rest come from :meth:`_cone_moves`. A basic variable
+        rests on a bound when it equals it, as :meth:`point` leaves it.
         """
         basis_set = set(basis)
         nonbasic = [j for j in range(sf.n) if j not in basis_set and sf.lower[j] != sf.upper[j]]
@@ -242,7 +253,8 @@ class _Walk:
             self.order.shuffle(nonbasic)
         W = np.linalg.solve(sf.A[:, basis], sf.A[:, nonbasic]) if basis else np.zeros((0, len(nonbasic)))
         sign = np.where(st[nonbasic] == "U", -1.0, 1.0)
-        at_lower, at_upper = _at_bounds(x[basis], sf.lower[basis], sf.upper[basis])
+        xb = x[basis]
+        at_lower, at_upper = xb == sf.lower[basis], xb == sf.upper[basis]
         rows = np.nonzero(at_lower | at_upper)[0]
         # G[i, k] >= 0 (== 0 when fixed): column k's move keeps basic
         # variable rows[i] on the feasible side of the bound it rests on
@@ -250,41 +262,21 @@ class _Walk:
         G[np.abs(G) <= TOL_PIVOT] = 0.0  # rates the ratio test ignores
         moving = G.any(axis=0)
         direct = np.nonzero(~moving)[0]
-        out = self._direct_moves(sf, x, basis, st, [nonbasic[k] for k in direct], sign[direct], W[:, direct])
+        out = _far_ends(sf, basis, st, xb, [nonbasic[k] for k in direct], sign[direct], -W[:, direct] * sign[direct])
         if moving.any():
             involved = G[:, moving].any(axis=1)
             cone, truncated = self._cone_moves(
-                basis, st, [nonbasic[k] for k in np.nonzero(moving)[0]], sign[moving],
+                sf, x, basis, st, [nonbasic[k] for k in np.nonzero(moving)[0]], sign[moving],
                 G[involved][:, moving], rows[involved], at_lower, at_upper,
             )
             if truncated:
                 return [], truncated
-            out += [far for far in (self._cone_move(sf, x, *move) for move in cone) if far is not None]
+            out += cone
         return out, None
 
-    def _direct_moves(self, sf, x, basis, st, cols, sign, W):
-        """The far end of each move of a nonbasic column in ``cols`` from
-        (basis, st), all ratio tests at once; ``W`` holds B^-1 A_j."""
-        if not cols:
-            return []
-        rate = -W * sign
-        ratios, t_basic = ratio_test(sf.lower[basis], sf.upper[basis], x[basis], rate)
-        own_range = sf.upper[cols] - sf.lower[cols]
-        ray = ~np.isfinite(t_basic) & ~np.isfinite(own_range)
-        if ray.any():
-            j = cols[int(np.argmax(ray))]
-            raise UnboundedRegionError(f"feasible ray through column {sf.col_names[j]!r}; " + _BOX_HINT)
-        flip = own_range <= t_basic
-        leave = leaving_row(ratios, t_basic, W) if basis else None
-        out = []
-        for k, j in enumerate(cols):
-            r = None if flip[k] else int(leave[k])
-            out.append(_land(basis, st, j, sign[k], r, 0.0 if r is None else rate[r, k]))
-        return out
-
-    def _cone_moves(self, basis, st, cols, sign, G, rows, at_lower, at_upper):
-        """A basis at x and an entering column for each edge of x's tangent
-        cone that moves a basic variable resting on a bound.
+    def _cone_moves(self, sf, x, basis, st, cols, sign, G, rows, at_lower, at_upper):
+        """The far end of each edge of x's tangent cone that moves a basic
+        variable resting on a bound.
 
         With u >= 0 a step along the nonbasic columns ``cols``, each oriented
         away from its bound, the basic variables of ``rows`` stay feasible
@@ -293,7 +285,9 @@ class _Walk:
         At a vertex of Q, the columns with u > 0 or s > 0 are basic in Q.
         Swapping the rows whose s is nonbasic for all but one basic u (the
         largest) gives a basis at x where that one column's move runs along
-        the edge.
+        the edge. The cone keeps that move on the feasible side of the
+        bounds that basic variables rest on, so a rate towards one is noise,
+        and it is zeroed.
         """
         K, D = len(cols), rows.size
         fixed = at_lower[rows] & at_upper[rows]
@@ -326,7 +320,7 @@ class _Walk:
         if q_x is None:
             return [], None
         rays, truncated = self.vertices(cone, q_basis, q_st, q_x, math.inf, _CONE_TOL)
-        moves = []
+        out = []
         for u, q_basis, _ in rays:
             in_u = [p for p in q_basis if p < K]
             e = max(in_u, key=lambda p: u[p])
@@ -337,44 +331,17 @@ class _Walk:
                 new_st[basis[r]] = "L" if at_lower[r] else "U"
                 new_basis[r] = cols[p]
                 new_st[cols[p]] = "B"
-            moves.append((sorted(new_basis), new_st, cols[e], sign[e]))
-        return moves, truncated
-
-    def _cone_move(self, sf, x, basis, st, j, direction):
-        """The far end of column j's move from a basis at x that the tangent
-        cone gave. Basic variables on a bound may be among the basis; the
-        cone keeps the move on their feasible side, so a rate towards that
-        bound is noise."""
-        xb, lb, ub = x[basis], sf.lower[basis], sf.upper[basis]
-        try:
-            w = np.linalg.solve(sf.A[:, basis], sf.A[:, j])
-        except np.linalg.LinAlgError:
-            self.rejected += 1
-            return None
-        rate = -direction * w
-        at_lower, at_upper = _at_bounds(xb, lb, ub)
-        rate[(at_lower & (rate < 0)) | (at_upper & (rate > 0))] = 0.0
-        ratios, t_basic = ratio_test(lb, ub, xb, rate)
-        own_range = sf.upper[j] - sf.lower[j]
-        if not math.isfinite(t_basic) and not math.isfinite(own_range):
-            raise UnboundedRegionError(f"feasible ray through column {sf.col_names[j]!r}; " + _BOX_HINT)
-        if own_range <= t_basic:
-            return _land(basis, st, j, direction, None, 0.0)
-        r = leaving_row(ratios, t_basic, w)
-        return _land(basis, st, j, direction, r, rate[r])
-
-
-def _land(basis, st, j, direction, r, rate_r):
-    """(basis, statuses) after column j's move: a bound flip when ``r`` is
-    None, else a pivot on basis[r], which leaves at the bound its ``rate_r``
-    runs into."""
-    new_st = st.copy()
-    if r is None:
-        new_st[j] = "U" if direction > 0 else "L"
-        return basis, new_st
-    new_st[j] = "B"
-    new_st[basis[r]] = "U" if rate_r > 0 else "L"
-    return sorted(basis[:r] + basis[r + 1 :] + [j]), new_st
+            new_basis = sorted(new_basis)
+            try:
+                w = np.linalg.solve(sf.A[:, new_basis], sf.A[:, cols[e]])
+            except np.linalg.LinAlgError:
+                self.rejected += 1
+                continue
+            rate = -sign[e] * w
+            xb = x[new_basis]
+            rate[((xb == sf.lower[new_basis]) & (rate < 0)) | ((xb == sf.upper[new_basis]) & (rate > 0))] = 0.0
+            out += _far_ends(sf, new_basis, new_st, xb, [cols[e]], sign[e : e + 1], rate[:, None])
+        return out, truncated
 
 
 def _start_basis(sub: LpModel, start: SimplexResult | None):
@@ -442,14 +409,18 @@ def enumerate_vertices(
     yields complete=False. So does a basis dropped because its solve failed
     or its point was infeasible: ``meta["rejected"]`` counts those, and
     ``meta["truncated"]`` reads "numerical". ``order_rng`` shuffles
-    exploration order only; the result is identical.
+    exploration order only: the same vertices are found, but a vertex with
+    several bases is reported at the basis reached first, so its last
+    digits may differ.
 
-    ``start``, the optimal result of ``solve_model(model)``, saves the
-    sublevel solve: its optimum is a vertex of the sublevel polytope, so the
-    walk starts there, at its basis plus the level cut's slack. Without it,
-    or when it cannot be used (not optimal, another model, an optimum
-    beyond the level, an unusable basis), the sublevel model is solved from
-    scratch. A complete vertex set is the same either way.
+    The walk starts at the model's optimum, a vertex of the sublevel
+    polytope, at its basis plus the level cut's slack. ``start``, the
+    optimal result of ``solve_model(model)``, supplies that optimum. Without
+    it, or when it cannot be used (not optimal, another model), the model is
+    solved here; a complete vertex set is the same either way, up to the
+    last digits noted above. An optimum beyond the level (a tau below the
+    optimal value) gives the empty set with ``meta["empty_reason"]``. A
+    start basis whose point is unusable counts in ``meta["rejected"]``.
 
     When the optimum lies strictly below the level, the walk expands only
     the vertices strictly below it; vertices on the level are found from
@@ -464,31 +435,24 @@ def enumerate_vertices(
         raise ValueError(f"limit must be at least 1, got {limit}")
 
     walk = _Walk(order_rng, max_bases)
-    begin, x = _start_basis(sub, start), None
-    if begin is not None:
-        sf, basis, st = begin
-        basis, st = _crash_free_columns(sf, basis, st)
-        x = walk.point(sf, basis, st)
-        walk.rejected = 0  # an unusable start basis costs a cold solve, not a vertex
-    if x is None:
-        res = solve_model(sub)
-        if res.status == INFEASIBLE:
-            meta["empty_reason"] = "sublevel model infeasible (tau below the optimal value)"
-            return VertexSet.from_points(
-                np.zeros((0, model.n_variables)), model.variable_names, objectives=[], meta=meta
-            )
+    begin = _start_basis(sub, start)
+    if begin is None:
+        res = solve_model(model)
         if res.status == NUMERIC_FAILURE:
             raise NumericFailureError(res.message)
         if res.status == UNBOUNDED:
             raise UnboundedRegionError()
-        sf = res.sf
-        basis, st = _crash_free_columns(sf, list(res.basis), np.array(res.statuses, dtype="<U1"))
-        x = walk.point(sf, basis, st)
+        begin = _start_basis(sub, res)
+    if begin is None:
+        meta["empty_reason"] = "sublevel model infeasible (tau below the optimal value)"
+        return VertexSet.from_points(np.zeros((0, model.n_variables)), model.variable_names, objectives=[], meta=meta)
+    sf, basis, st = begin
+    basis, st = _crash_free_columns(sf, basis, st)
+    x = walk.point(sf, basis, st)
     if x is None:
         found, truncated = [], None
     else:
-        # the level row is the last row of either form, its slack the last
-        # column: cleaning drops only equality rows, which have no slack
+        # _start_basis appends the level row, so its slack is the last column
         level = sf.n - 1 if x[sf.n - 1] > 0 else None
         found, truncated = walk.vertices(sf, basis, st, x, limit, dedup_tol, level)
     if truncated is None and walk.rejected:

@@ -244,9 +244,10 @@ class TestUnboundedHandling:
 
 
 def free_box_lp(rng: np.random.Generator) -> LpModel:
-    """Free variables bounded only by rows +-x_j <= u_j, and now and then a
-    coupling row through an interior point, with a cost of +-1 on one of
-    them: at the optimum the simplex often leaves a free column nonbasic."""
+    """Free variables bounded only by rows +-x_j <= u_j, now and then with a
+    coupling row that the origin satisfies, and a cost of +-1 on one of
+    them: the simplex sometimes ends with a free column nonbasic at 0, which
+    the walk must pivot in before it starts."""
     n = int(rng.integers(1, 5))
     names = [f"x{j}" for j in range(n)]
     cons = []

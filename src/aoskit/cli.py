@@ -48,7 +48,7 @@ from .projection import ProjectionSpec, project_set, role_projection
 from .reporting import REPORT_SCHEMA, make_report, write_report
 from .sets import VertexSet
 from .simplex import INFEASIBLE, NUMERIC_FAILURE, OPTIMAL, UNBOUNDED, solve_model
-from .sublevel import SublevelSpec, apply_box_bounds
+from .sublevel import SublevelSpec, _provably_empty, apply_box_bounds
 from .vertices import (
     NumericFailureError,
     OracleGuardError,
@@ -289,13 +289,6 @@ def cmd_solve(cfg: RunConfig) -> int:
         payload["message"] = result.message
     _emit(cfg, payload)
     return _STATUS_EXIT[result.status]
-
-
-def _provably_empty(z_star: float, tau: float, sense: str) -> bool:
-    slack = 1e-9 * max(1.0, abs(z_star))
-    if sense == "min":
-        return tau < z_star - slack
-    return tau > z_star + slack
 
 
 def _enumerate_payload(cfg: RunConfig, use_oracle: bool):

@@ -1,5 +1,9 @@
 """Two-phase revised simplex for bounded-variable standard form.
 
+A cold solve first drops the equality rows that depend on others
+(:func:`~aoskit.standard_form.drop_redundant_equalities`), so phase 1 starts
+from rows of full rank, and the result carries the cleaned form.
+
 Handles general bounds (including free and fixed columns) without variable
 splitting: a nonbasic column rests at its lower bound, its upper bound, or,
 when both bounds are infinite, at zero. Phase 1 minimizes the total
@@ -89,7 +93,10 @@ def leaving_row(ratios: np.ndarray, t, w: np.ndarray):
 
 @dataclass
 class SimplexResult:
-    """Solver outcome; basis and statuses describe the final vertex."""
+    """Solver outcome; basis and statuses describe the final vertex.
+
+    ``sf`` is the form solved: after a cold solve, the cleaned one.
+    """
 
     status: str
     x: np.ndarray | None = None
@@ -118,14 +125,12 @@ class _BoundedSimplex:
     """
 
     def __init__(self, sf: StandardForm, max_iter: int | None = None, start=None):
-        self.sf = sf
         m, n = sf.m, sf.n
         self.n_real = n
-        self.row_keep = list(range(m))
         self.iterations = 0
         if start is None:
             self.A = np.hstack([sf.A, np.zeros((m, m))])
-            self.b = sf.b.copy()
+            self.b = sf.b
             self.lower = np.concatenate([sf.lower, np.zeros(m)])
             self.upper = np.concatenate([sf.upper, np.full(m, np.inf)])
             self.basis: list[int] = []
@@ -134,9 +139,8 @@ class _BoundedSimplex:
             self.A, self.b, self.lower, self.upper = sf.A, sf.b, sf.lower, sf.upper
             self.basis = list(start[0])
             status = np.array(start[1], dtype="<U1")
-            rest = np.where(np.isfinite(self.lower), "L", np.where(np.isfinite(self.upper), "U", "F"))
             keep_upper = (status == "U") & np.isfinite(self.upper)
-            self.status = np.where((status == "B") | keep_upper, status, rest)
+            self.status = np.where((status == "B") | keep_upper, status, _resting(self.lower, self.upper))
         self.max_iter = max_iter if max_iter is not None else max(5000, 200 * (m + n))
         self.bland = False
         self.degenerate_run = 0
@@ -306,13 +310,7 @@ class _BoundedSimplex:
 
     def phase1(self) -> str:
         m, n = len(self.b), self.n_real
-        for j in range(n):
-            if np.isfinite(self.lower[j]):
-                self.status[j] = "L"
-            elif np.isfinite(self.upper[j]):
-                self.status[j] = "U"
-            else:
-                self.status[j] = "F"
+        self.status[:n] = _resting(self.lower[:n], self.upper[:n])
         x_rest = basic_point(self.A[:, :n], self.b, self.lower[:n], self.upper[:n], [], self.status[:n])
         resid = self.b - self.A[:, :n] @ x_rest
         for i in range(m):
@@ -328,14 +326,16 @@ class _BoundedSimplex:
         x = self.compute_x()
         if x[n:].sum() > TOL_FEAS * max(1.0, float(np.abs(self.b).max(initial=0.0))):
             return INFEASIBLE
-        self._expel_artificials()
+        if not self._expel_artificials():
+            return NUMERIC_FAILURE
         # artificials are now pinned at zero and can never re-enter
         self.lower[self.n_real :] = 0.0
         self.upper[self.n_real :] = 0.0
         return OPTIMAL
 
-    def _expel_artificials(self):
-        """Pivot residual artificials out of the basis, dropping truly null rows."""
+    def _expel_artificials(self) -> bool:
+        """Pivot residual artificials out of the basis; False if one cannot
+        be, which only a row dependent on the others can cause."""
         for r in range(len(self.basis) - 1, -1, -1):
             if self.basis[r] < self.n_real:
                 continue
@@ -345,27 +345,30 @@ class _BoundedSimplex:
             vals = w_row @ self.A[:, : self.n_real]
             vals[[bj for bj in self.basis if bj < self.n_real]] = 0.0
             k = int(np.argmax(np.abs(vals)))
-            if abs(vals[k]) > TOL_PIVOT:
-                art = self.basis[r]
-                self.basis[r] = k
-                self.status[k] = "B"
-                self.status[art] = "L"
-            else:
-                self._drop_row(r)
+            if abs(vals[k]) <= TOL_PIVOT:
+                return False
+            art = self.basis[r]
+            self.basis[r] = k
+            self.status[k] = "B"
+            self.status[art] = "L"
+        return True
 
-    def _drop_row(self, r: int):
-        art = self.basis[r]
-        keep = [i for i in range(len(self.b)) if i != r]
-        self.A = self.A[keep]
-        self.b = self.b[keep]
-        del self.row_keep[r]
-        del self.basis[r]
-        self.status[art] = "L"
-        self.upper[art] = 0.0
+
+def _resting(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Nonbasic statuses at a finite bound, the lower one first, or free."""
+    return np.where(np.isfinite(lower), "L", np.where(np.isfinite(upper), "U", "F"))
 
 
 def solve_standard(sf: StandardForm, max_iter: int | None = None) -> SimplexResult:
-    """Solve a standard form to optimality; see :class:`SimplexResult`."""
+    """Drop ``sf``'s dependent equality rows, then solve it to optimality.
+
+    The result carries the cleaned form, and its message notes the rows
+    dropped; a dependent row with a conflicting right-hand side makes it
+    INFEASIBLE. See :class:`SimplexResult`.
+    """
+    sf, dropped, inconsistent = drop_redundant_equalities(sf)
+    if inconsistent:
+        return SimplexResult(INFEASIBLE, sf=sf, message="dependent equality rows have conflicting right-hand sides")
     solver = _BoundedSimplex(sf, max_iter=max_iter)
     try:
         status = solver.phase1()
@@ -375,7 +378,10 @@ def solve_standard(sf: StandardForm, max_iter: int | None = None) -> SimplexResu
             status = solver.run(c2)
     except np.linalg.LinAlgError:
         status = NUMERIC_FAILURE
-    return _result(solver, sf, status)
+    res = _result(solver, sf, status)
+    if dropped:
+        res.message = (res.message + f" (dropped {len(dropped)} dependent rows)").strip()
+    return res
 
 
 def solve_from(sf: StandardForm, start: SimplexResult) -> SimplexResult:
@@ -397,73 +403,26 @@ def solve_from(sf: StandardForm, start: SimplexResult) -> SimplexResult:
     return _result(solver, sf, status)
 
 
+_MESSAGES = {
+    UNBOUNDED: "objective improves without limit along the reported ray",
+    INFEASIBLE: "no point satisfies all constraints and bounds",
+    NUMERIC_FAILURE: "pivoting failed to converge or hit a singular basis",
+}
+
+
 def _result(solver: _BoundedSimplex, sf: StandardForm, status: str) -> SimplexResult:
     """The outcome of a finished run of ``solver`` on ``sf``."""
-    kept = solver.row_keep
-    used_sf = sf
-    if len(kept) != sf.m:
-        used_sf = StandardForm(
-            A=sf.A[kept].copy(),
-            b=sf.b[kept].copy(),
-            c=sf.c,
-            lower=sf.lower,
-            upper=sf.upper,
-            col_names=sf.col_names,
-            n_original=sf.n_original,
-            sense_sign=sf.sense_sign,
-            obj_constant=sf.obj_constant,
-            row_origin=tuple(sf.row_origin[i] for i in kept),
-        )
-
+    res = SimplexResult(status=status, sf=sf, iterations=solver.iterations, message=_MESSAGES.get(status, ""))
     if status == OPTIMAL:
-        x_full = solver.compute_x()
-        x_std = x_full[: sf.n]
-        value_std = float(sf.c @ x_std)
-        return SimplexResult(
-            status=OPTIMAL,
-            x=used_sf.recover(x_std),
-            value=used_sf.original_value(value_std),
-            x_std=x_std,
-            value_std=value_std,
-            basis=tuple(solver.basis),
-            statuses=tuple(solver.status[: sf.n]),
-            sf=used_sf,
-            iterations=solver.iterations,
-        )
-    if status == UNBOUNDED:
-        return SimplexResult(
-            status=UNBOUNDED,
-            sf=used_sf,
-            ray=used_sf.recover(solver.ray[: sf.n]),
-            iterations=solver.iterations,
-            message="objective improves without limit along the reported ray",
-        )
-    if status == INFEASIBLE:
-        return SimplexResult(
-            status=INFEASIBLE,
-            sf=used_sf,
-            iterations=solver.iterations,
-            message="no point satisfies all constraints and bounds",
-        )
-    return SimplexResult(
-        status=NUMERIC_FAILURE,
-        sf=used_sf,
-        iterations=solver.iterations,
-        message="pivoting failed to converge or hit a singular basis",
-    )
+        res.x_std = solver.compute_x()[: sf.n]
+        res.value_std = float(sf.c @ res.x_std)
+        res.x, res.value = sf.recover(res.x_std), sf.original_value(res.value_std)
+        res.basis, res.statuses = tuple(solver.basis), tuple(solver.status[: sf.n])
+    elif status == UNBOUNDED:
+        res.ray = sf.recover(solver.ray[: sf.n])
+    return res
 
 
 def solve_model(model: LpModel, max_iter: int | None = None) -> SimplexResult:
-    """Translate to standard form, clean dependent rows, and solve."""
-    sf = to_standard_form(model)
-    sf, dropped, inconsistent = drop_redundant_equalities(sf)
-    if inconsistent:
-        return SimplexResult(
-            status=INFEASIBLE,
-            sf=sf,
-            message="dependent equality rows have conflicting right-hand sides",
-        )
-    res = solve_standard(sf, max_iter=max_iter)
-    if dropped:
-        res.message = (res.message + f" (dropped {len(dropped)} dependent rows)").strip()
-    return res
+    """Translate ``model`` to standard form and solve it (:func:`solve_standard`)."""
+    return solve_standard(to_standard_form(model), max_iter=max_iter)

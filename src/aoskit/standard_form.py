@@ -7,6 +7,7 @@ order, so recovering an original point is a plain prefix slice.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,6 @@ class StandardForm:
         above = x - self.upper
         parts = [p for p in (resid, below, above) if p.size]
         return float(np.max([p.max() for p in parts])) if parts else 0.0
-
-    def is_feasible(self, x_std: np.ndarray, tol: float = 1e-7) -> bool:
-        return self.max_violation(x_std) <= tol
 
 
 def to_standard_form(model: LpModel) -> StandardForm:
@@ -130,7 +128,6 @@ def drop_redundant_equalities(
         return sf, [], False
 
     has_slack = np.any(sf.A[:, sf.n_original :] != 0.0, axis=1)
-    keep: list[int] = []
     dropped: list[int] = []
     inconsistent = False
     q = np.zeros((m, sf.n_original))  # orthonormal rows spanning the kept equality rows
@@ -138,7 +135,6 @@ def drop_redundant_equalities(
     k = 0
     for i in range(m):
         if has_slack[i]:
-            keep.append(i)
             continue
         resid, resid_b = sf.A[i, : sf.n_original], float(sf.b[i])
         scale = max(1.0, float(np.abs(resid).max()), abs(resid_b))
@@ -155,7 +151,6 @@ def drop_redundant_equalities(
             if abs(resid_b) > 1e-7 * scale:
                 inconsistent = True
         else:
-            keep.append(i)
             norm = float(np.linalg.norm(resid))
             q[k], q_b[k] = resid / norm, resid_b / norm
             k += 1
@@ -163,18 +158,9 @@ def drop_redundant_equalities(
     if not dropped:
         return sf, [], False
 
-    keep_arr = np.array(sorted(keep), dtype=int)
     # only rows without a slack are dropped, so every column stays
-    reduced = StandardForm(
-        A=sf.A[keep_arr],
-        b=sf.b[keep_arr],
-        c=sf.c.copy(),
-        lower=sf.lower.copy(),
-        upper=sf.upper.copy(),
-        col_names=sf.col_names,
-        n_original=sf.n_original,
-        sense_sign=sf.sense_sign,
-        obj_constant=sf.obj_constant,
-        row_origin=tuple(sf.row_origin[i] for i in keep_arr),
+    keep = np.setdiff1d(np.arange(m), dropped)
+    reduced = dataclasses.replace(
+        sf, A=sf.A[keep], b=sf.b[keep], row_origin=tuple(sf.row_origin[i] for i in keep)
     )
     return reduced, dropped, inconsistent

@@ -40,6 +40,19 @@ class SublevelSpec:
         return float(z_star + slack) if sense == "min" else float(z_star - slack)
 
 
+def _provably_empty(z_star: float, tau: float, sense: str) -> bool:
+    """Whether the level ``tau`` lies beyond the optimal value ``z_star``
+    (below it for minimization) by more than 1e-9 * max(1, |z_star|).
+
+    Such a sublevel set is empty. A level closer to the optimum than that is
+    rounding away from it, and stands for the optimum's own level.
+    """
+    slack = 1e-9 * max(1.0, abs(z_star))
+    if sense == "min":
+        return tau < z_star - slack
+    return tau > z_star + slack
+
+
 def make_sublevel_model(model: LpModel, z_star: float, spec: SublevelSpec) -> LpModel:
     """Append the objective-level cut at the level ``spec`` resolves to.
 

@@ -32,6 +32,7 @@ Two independent routes to the same answer:
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -56,7 +57,7 @@ from .simplex import (
     solve_standard,
 )
 from .standard_form import StandardForm, to_standard_form
-from .sublevel import SublevelSpec, make_sublevel_model
+from .sublevel import SublevelSpec, _provably_empty, make_sublevel_model
 
 _BOX_HINT = "the region is unbounded; call apply_box_bounds on the model first"
 # a basic variable within this distance of a bound, relative to 1 + |bound|,
@@ -160,7 +161,7 @@ class _Walk:
         except np.linalg.LinAlgError:
             self.rejected += 1
             return None
-        if sf.max_violation(x) > 1e-7:
+        if sf.max_violation(x) > TOL_FEAS:
             self.rejected += 1
             return None
         lb, ub = sf.lower, sf.upper
@@ -312,7 +313,7 @@ class _Walk:
             res = solve_standard(cone)
             if res.status == INFEASIBLE:
                 return [], None  # no such edge
-            if res.status != OPTIMAL or len(res.basis) != D + 1:
+            if res.status != OPTIMAL:
                 self.rejected += 1
                 return [], None
             q_basis, q_st = sorted(res.basis), np.array(res.statuses, dtype="<U1")
@@ -344,48 +345,46 @@ class _Walk:
         return out, truncated
 
 
-def _start_basis(sub: LpModel, start: SimplexResult | None):
-    """The sublevel form and a basis at ``start``'s optimum, or None.
+def _sublevel_form(sub: LpModel, start: SimplexResult | None) -> StandardForm | None:
+    """The standard form of ``sub`` when ``start`` can start its walk, else None.
 
-    ``start`` is the optimal result of ``solve_model`` on the model that
-    ``sub`` cuts. Its form keeps the rows that survived the cleaning of
-    dependent rows; the sublevel form keeps those plus the level row, whose
-    slack column joins the basis. None when ``start`` is missing, not
-    optimal or of another model, or when its optimum lies beyond the level
-    (a tau below the optimal value).
+    ``start`` can when it is the optimal result of ``solve_model`` on the
+    model that ``sub`` cuts: its cleaned form must be the rows it kept of
+    the sublevel form, without the level row and its slack column.
     """
     if start is None or start.status != OPTIMAL:
         return None
     full = to_standard_form(sub)
-    level = sub.metadata["sublevel_row"]
-    rows = list(start.sf.row_origin) + [level]
+    rows = list(start.sf.row_origin)
     slack = full.n - 1  # the level row is the last row, so its slack is the last column
     same = full.col_names[:slack] == start.sf.col_names and all(
         np.array_equal(mine, theirs)
         for mine, theirs in (
-            (full.A[rows[:-1], :slack], start.sf.A),
-            (full.b[rows[:-1]], start.sf.b),
+            (full.A[rows, :slack], start.sf.A),
+            (full.b[rows], start.sf.b),
             (full.lower[:slack], start.sf.lower),
             (full.upper[:slack], start.sf.upper),
         )
     )
-    if not same:
-        return None
-    level_slack = (full.b[level] - full.A[level, :slack] @ start.x_std) / full.A[level, slack]
-    if level_slack < -TOL_FEAS * max(1.0, abs(full.b[level])):
-        return None
-    sf = StandardForm(
-        A=full.A[rows],
-        b=full.b[rows],
-        c=full.c,
-        lower=full.lower,
-        upper=full.upper,
-        col_names=full.col_names,
-        n_original=full.n_original,
-        sense_sign=full.sense_sign,
-        obj_constant=full.obj_constant,
-        row_origin=tuple(rows),
-    )
+    return full if same else None
+
+
+def _start_basis(full: StandardForm, start: SimplexResult):
+    """The walk's form: the rows of the sublevel form ``full`` that
+    ``start``'s form kept, plus the level row; and a basis at ``start``'s
+    optimum, where the level's slack joins the basis.
+
+    An optimum beyond the level by more than the walk's feasibility
+    tolerance is beyond it by rounding only (the caller has ruled out more),
+    and the level row is moved through the optimum instead.
+    """
+    level, slack = full.m - 1, full.n - 1  # the level row and its slack come last
+    rows = list(start.sf.row_origin) + [level]
+    b = full.b[rows]
+    level_slack = (b[-1] - full.A[level, :slack] @ start.x_std) / full.A[level, slack]
+    if level_slack < -TOL_FEAS:
+        b[-1] = full.A[level, :slack] @ start.x_std
+    sf = dataclasses.replace(full, A=full.A[rows], b=b, row_origin=tuple(rows))
     st = np.array(start.statuses + ("B",), dtype="<U1")
     return sf, list(start.basis) + [slack], st
 
@@ -418,9 +417,14 @@ def enumerate_vertices(
     optimal result of ``solve_model(model)``, supplies that optimum. Without
     it, or when it cannot be used (not optimal, another model), the model is
     solved here; a complete vertex set is the same either way, up to the
-    last digits noted above. An optimum beyond the level (a tau below the
-    optimal value) gives the empty set with ``meta["empty_reason"]``. A
-    start basis whose point is unusable counts in ``meta["rejected"]``.
+    last digits noted above. A start basis whose point is unusable counts
+    in ``meta["rejected"]``.
+
+    A tau below the optimal value by more than 1e-9 * max(1, |z*|)
+    (:func:`~aoskit.sublevel._provably_empty`) gives the empty set; below by
+    less, it stands for the optimal value. ``meta["empty_reason"]`` then
+    reads "sublevel model infeasible (tau below the optimal value)", or
+    "model infeasible (...)" when the model has no feasible point.
 
     When the optimum lies strictly below the level, the walk expands only
     the vertices strictly below it; vertices on the level are found from
@@ -434,19 +438,24 @@ def enumerate_vertices(
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
 
-    walk = _Walk(order_rng, max_bases)
-    begin = _start_basis(sub, start)
-    if begin is None:
-        res = solve_model(model)
-        if res.status == NUMERIC_FAILURE:
-            raise NumericFailureError(res.message)
-        if res.status == UNBOUNDED:
-            raise UnboundedRegionError()
-        begin = _start_basis(sub, res)
-    if begin is None:
-        meta["empty_reason"] = "sublevel model infeasible (tau below the optimal value)"
+    def empty(reason: str) -> VertexSet:
+        meta["empty_reason"] = reason
         return VertexSet.from_points(np.zeros((0, model.n_variables)), model.variable_names, objectives=[], meta=meta)
-    sf, basis, st = begin
+
+    full = _sublevel_form(sub, start)
+    if full is None:
+        start = solve_model(model)
+        if start.status == NUMERIC_FAILURE:
+            raise NumericFailureError(start.message)
+        if start.status == UNBOUNDED:
+            raise UnboundedRegionError()
+        if start.status == INFEASIBLE:
+            return empty("model infeasible (no point satisfies all constraints and bounds)")
+        full = to_standard_form(sub)
+    if _provably_empty(start.value, tau, model.objective.sense):
+        return empty("sublevel model infeasible (tau below the optimal value)")
+    walk = _Walk(order_rng, max_bases)
+    sf, basis, st = _start_basis(full, start)
     basis, st = _crash_free_columns(sf, basis, st)
     x = walk.point(sf, basis, st)
     if x is None:

@@ -7,9 +7,23 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from aoskit import Constraint, LpModel, Objective, Variable, VertexSet, cli
+from aoskit import (
+    Constraint,
+    LpModel,
+    Objective,
+    SublevelSpec,
+    Variable,
+    VertexSet,
+    apply_box_bounds,
+    build_dcopf,
+    cli,
+    enumerate_vertices,
+    network_from_dict,
+    solve_model,
+)
 from aoskit.cli import main
 from aoskit.simplex import NUMERIC_FAILURE, SimplexResult
+from aoskit.sublevel import _provably_empty
 from aoskit.vertices import NumericFailureError
 
 CANONICAL = str(resources.files("aoskit") / "fixtures" / "canonical_3bus.json")
@@ -163,6 +177,71 @@ class TestEnumerate:
             code, _, _ = run("enumerate", CANONICAL, "--gap", 0.01, "--output", p)
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# a tau within rounding of the optimum stands for the optimum's own level
+
+
+def band_model(name):
+    """The model the CLI builds from a fixture, or an LP whose optimal value
+    is about 1e6 in either sense, with a four-vertex optimal face."""
+    if name == "large":
+        return LpModel(
+            [Variable(n, 0.0, 1.0) for n in "xyz"] + [Variable("t", 1.0, 2.0)],
+            [Constraint({"x": 1.0, "y": 1.0}, ">=", 1.0), Constraint({"x": 1.0, "y": 1.0}, "<=", 1.5)],
+            Objective("min", {"t": 1e6, "x": 1.0, "y": 1.0}),
+        )
+    path = str(resources.files("aoskit") / "fixtures" / f"{name}.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    return build_dcopf(network_from_dict(doc)) if doc["schema"] == "aos-net/1" else LpModel.from_json_dict(doc)
+
+
+class TestTheBandAroundTheOptimum:
+    # tau = z* moved towards better values by d * max(1, |z*|): beyond
+    # 1e-9 the set is provably empty; within it, it is the optimal face
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    @pytest.mark.parametrize("name", ["canonical_3bus", "triangle_exact", "triangle_perturbed", "large"])
+    def test_empty_exactly_when_provably_empty(self, run, tmp_path, name, sense):
+        plain = band_model(name)
+        model = LpModel(plain.variables, plain.constraints,
+                        Objective(sense, plain.objective.coeffs, plain.objective.constant), metadata=plain.metadata)
+        path = write_model(tmp_path, model)
+        boxed = apply_box_bounds(model, 1e4)
+        best = solve_model(boxed)
+        face = enumerate_vertices(boxed, best.value, SublevelSpec(gap=0.0), start=best)
+        assert face.complete and len(face) >= 1
+        outcomes = set()
+        for d in [0.0] + [10.0**-k for k in range(12, 5, -1)]:
+            step = d * max(1.0, abs(best.value))
+            tau = best.value - step if sense == "min" else best.value + step
+            empty = _provably_empty(best.value, tau, sense)
+            outcomes.add(empty)
+            code, out, _ = run("enumerate", path, "--tau", repr(tau))
+            doc = json.loads(out)
+            assert code == 0 and doc["result"]["complete"] is True
+            assert doc["provably_empty"] is empty
+            spec = SublevelSpec(tau=tau)
+            for vs in (
+                VertexSet.from_json_dict(doc["result"]),
+                enumerate_vertices(boxed, best.value, spec, start=best),
+                enumerate_vertices(boxed, best.value, spec),
+            ):
+                assert vs.complete
+                assert (len(vs) == 0) is empty
+                assert empty or vs.same_points(face)
+        assert outcomes == {False, True}
+
+    def test_the_network_fixture_just_below_its_optimum(self, run):
+        # z* = 5000: from 2e-11 to 1e-8 relative below it, the walk's start
+        # was rejected as infeasible, and the run truncated
+        for tau, count in ((5000 - 1e-6, 5), (5000 - 5e-5, 0)):
+            code, out, _ = run("enumerate", CANONICAL, "--tau", repr(tau))
+            doc = json.loads(out)
+            assert code == 0
+            assert doc["provably_empty"] is (count == 0)
+            assert doc["result"]["count"] == count and "truncated" not in doc["result"]["meta"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoskit import simplex
 from aoskit import (
     Constraint,
     LpModel,
@@ -18,6 +19,7 @@ from aoskit import (
 )
 
 from conftest import random_bounded_lp
+from test_simplex import warm_start_lp
 
 
 def make(vars_, cons, obj):
@@ -133,6 +135,75 @@ class TestRoundTrip:
             assert direct.status == via_sf.status
             if direct.status == "optimal":
                 assert direct.value == pytest.approx(via_sf.value, abs=1e-7)
+
+
+def dependent_cube(third_rhs=3.0):
+    """x + y + z = 1.5 over the unit cube, then twice that row, whose
+    right-hand side conflicts unless it is 3, then x - y <= 0.5."""
+    cube = [Variable(n, 0.0, 1.0) for n in "xyz"]
+    return make(cube, [
+        Constraint({"x": 1.0, "y": 1.0, "z": 1.0}, "=", 1.5),
+        Constraint({"x": 2.0, "y": 2.0, "z": 2.0}, "=", third_rhs),
+        Constraint({"x": 1.0, "y": -1.0}, "<=", 0.5),
+    ], Objective("min", {"x": 1.0}))
+
+
+def same_result(a, b):
+    """Bitwise the same outcome, the form's rows included."""
+    arrays = ("x", "value", "x_std", "value_std", "ray")
+    return (
+        (a.status, a.basis, a.statuses, a.iterations, a.message, a.sf.row_origin)
+        == (b.status, b.basis, b.statuses, b.iterations, b.message, b.sf.row_origin)
+        and all(np.array_equal(getattr(a, k), getattr(b, k)) for k in arrays)
+    )
+
+
+class TestOneCleaningPath:
+    # solve_standard cleans its own form: solving a raw form is solving the
+    # form drop_redundant_equalities leaves, and the result carries that form
+    def test_dependent_rows_are_dropped_before_the_solve(self):
+        rng = np.random.default_rng(18)
+        cleaned = 0
+        for _ in range(80):
+            m = warm_start_lp(rng)
+            sf = to_standard_form(m)
+            reduced, dropped, inconsistent = drop_redundant_equalities(sf)
+            res = solve_standard(sf)
+            assert same_result(res, solve_model(m))
+            if inconsistent:
+                assert res.status == "infeasible"
+                continue
+            again = solve_standard(reduced)
+            assert res.sf.row_origin == reduced.row_origin
+            assert (res.status, res.basis, res.statuses) == (again.status, again.basis, again.statuses)
+            assert np.array_equal(res.x, again.x)
+            # the dependent row the draw appends after two equality rows
+            n_eq = sum(c.sense == "=" for c in m.constraints)
+            if n_eq >= 3:
+                assert n_eq - 1 in dropped and n_eq - 1 not in res.sf.row_origin
+                assert f"(dropped {len(dropped)} dependent rows)" in res.message
+                cleaned += 1
+        assert cleaned > 20
+
+    def test_the_cube_keeps_its_independent_rows(self):
+        res = solve_standard(to_standard_form(dependent_cube()))
+        assert res.status == "optimal" and res.value == 0.0
+        assert res.sf.row_origin == (0, 2) and res.sf.m == 2
+        assert res.message.endswith("(dropped 1 dependent rows)")
+        assert same_result(res, solve_model(dependent_cube()))
+
+    def test_a_conflicting_dependent_row_is_infeasible(self):
+        res = solve_standard(to_standard_form(dependent_cube(third_rhs=3.2)))
+        assert res.status == "infeasible" and res.iterations == 0
+        assert res.message == "dependent equality rows have conflicting right-hand sides"
+        assert res.sf.row_origin == (0, 2)
+
+    def test_a_null_row_that_reaches_phase_1_is_a_numeric_failure(self, monkeypatch):
+        # without cleaning, phase 1 keeps an artificial at the dependent row
+        monkeypatch.setattr(simplex, "drop_redundant_equalities", lambda sf: (sf, [], False))
+        res = solve_standard(to_standard_form(dependent_cube()))
+        assert res.status == "numeric_failure"
+        assert res.basis == () and res.x is None and res.sf.m == 3
 
 
 class TestRedundantRows:

@@ -466,6 +466,15 @@ class TestInfeasibleSublevel:
         assert vs.complete
         assert vs.meta["empty_reason"]
 
+    def test_an_infeasible_model_has_its_own_reason(self):
+        m = LpModel([Variable("x", 0.0, 1.0)], [Constraint({"x": 1.0}, ">=", 2.0)], Objective("min", {"x": 1.0}))
+        below = enumerate_vertices(unit_square(), 0.0, SublevelSpec(tau=-5.0)).meta["empty_reason"]
+        for start in (None, solve_model(m)):
+            vs = enumerate_vertices(m, 0.0, GAP0, start=start)
+            assert len(vs) == 0 and vs.complete
+            assert vs.meta["empty_reason"] == "model infeasible (no point satisfies all constraints and bounds)"
+            assert vs.meta["empty_reason"] != below
+
 
 class TestUniqueness:
     def test_unique_interval_minimum(self):
@@ -619,8 +628,9 @@ class TestWalkFromTheOptimum:
         best = solve_model(m)
         better_than_optimal = -0.5 if sense == "min" else 2.5
         vs = enumerate_vertices(m, best.value, SublevelSpec(tau=better_than_optimal), start=best)
-        # the optimum's level slack is negative, so no basis at it is tried
-        assert len(calls) == 1 and points == []
+        # tau lies provably below the caller's optimum, so neither a solve
+        # nor a basis at it is tried
+        assert calls == [] and points == []
         assert len(vs) == 0 and vs.complete
         assert vs.meta["empty_reason"]
 

@@ -34,8 +34,11 @@ class SublevelSpec:
             raise ValueError("tau is NaN")
 
     def resolve(self, z_star: float, sense: str) -> float:
+        """The level at the optimal value ``z_star``. An absolute tau beyond
+        it by rounding only (not provably empty) is ``z_star`` itself."""
         if self.tau is not None:
-            return float(self.tau)
+            beyond = self.tau < z_star if sense == "min" else self.tau > z_star
+            return float(z_star if beyond and not _provably_empty(z_star, self.tau, sense) else self.tau)
         slack = self.gap * max(1.0, abs(z_star))
         return float(z_star + slack) if sense == "min" else float(z_star - slack)
 
@@ -45,7 +48,7 @@ def _provably_empty(z_star: float, tau: float, sense: str) -> bool:
     (below it for minimization) by more than 1e-9 * max(1, |z_star|).
 
     Such a sublevel set is empty. A level closer to the optimum than that is
-    rounding away from it, and stands for the optimum's own level.
+    rounding away from it, which :meth:`SublevelSpec.resolve` undoes.
     """
     slack = 1e-9 * max(1.0, abs(z_star))
     if sense == "min":

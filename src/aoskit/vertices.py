@@ -373,18 +373,10 @@ def _start_basis(full: StandardForm, start: SimplexResult):
     """The walk's form: the rows of the sublevel form ``full`` that
     ``start``'s form kept, plus the level row; and a basis at ``start``'s
     optimum, where the level's slack joins the basis.
-
-    An optimum beyond the level by more than the walk's feasibility
-    tolerance is beyond it by rounding only (the caller has ruled out more),
-    and the level row is moved through the optimum instead.
     """
     level, slack = full.m - 1, full.n - 1  # the level row and its slack come last
     rows = list(start.sf.row_origin) + [level]
-    b = full.b[rows]
-    level_slack = (b[-1] - full.A[level, :slack] @ start.x_std) / full.A[level, slack]
-    if level_slack < -TOL_FEAS:
-        b[-1] = full.A[level, :slack] @ start.x_std
-    sf = dataclasses.replace(full, A=full.A[rows], b=b, row_origin=tuple(rows))
+    sf = dataclasses.replace(full, A=full.A[rows], b=full.b[rows], row_origin=tuple(rows))
     st = np.array(start.statuses + ("B",), dtype="<U1")
     return sf, list(start.basis) + [slack], st
 
@@ -420,11 +412,11 @@ def enumerate_vertices(
     last digits noted above. A start basis whose point is unusable counts
     in ``meta["rejected"]``.
 
-    A tau below the optimal value by more than 1e-9 * max(1, |z*|)
-    (:func:`~aoskit.sublevel._provably_empty`) gives the empty set; below by
-    less, it stands for the optimal value. ``meta["empty_reason"]`` then
-    reads "sublevel model infeasible (tau below the optimal value)", or
-    "model infeasible (...)" when the model has no feasible point.
+    A tau below the optimal value by more than 1e-9 * max(1, |z*|) gives
+    the empty set, with ``meta["empty_reason"]`` "sublevel model infeasible
+    (tau below the optimal value)", or "model infeasible (...)" when the
+    model has no feasible point. Below by less, ``meta["tau"]`` reads the
+    optimal value, the level walked (see :meth:`SublevelSpec.resolve`).
 
     When the optimum lies strictly below the level, the walk expands only
     the vertices strictly below it; vertices on the level are found from
@@ -531,7 +523,8 @@ def brute_force_vertices(
     Every equality constraint is mandatory; the remaining degrees of freedom
     are filled by choosing among inequality boundaries, finite bound planes,
     and the level cut. Always returns complete=True. Refuses instances whose
-    combination count exceeds ``max_combos``.
+    combination count exceeds ``max_combos``. A tau provably below the
+    optimal value gives the empty set, as in :func:`enumerate_vertices`.
     """
     sub = make_sublevel_model(model, z_star, spec)
     tau = sub.metadata["sublevel_tau"]
@@ -544,6 +537,8 @@ def brute_force_vertices(
             np.zeros((0, n)), sub.variable_names, objectives=[], meta=meta
         )
 
+    if _provably_empty(z_star, tau, sub.objective.sense):
+        return empty("sublevel model infeasible (tau below the optimal value)")
     rows, rhs, senses = sub.constraint_matrix()
     eq_rows: list[np.ndarray] = []
     eq_rhs: list[float] = []

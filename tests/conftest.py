@@ -101,6 +101,20 @@ def random_bounded_lp(rng: np.random.Generator, n_max: int = 5, m_max: int = 10)
     )
 
 
+def dependent_cube(third_rhs: float = 3.0) -> LpModel:
+    """x + y + z = 1.5 over the unit cube, then twice that row, whose
+    right-hand side conflicts unless it is 3, then x - y <= 0.5."""
+    return LpModel(
+        [Variable(n, 0.0, 1.0) for n in "xyz"],
+        [
+            Constraint({"x": 1.0, "y": 1.0, "z": 1.0}, "=", 1.5),
+            Constraint({"x": 2.0, "y": 2.0, "z": 2.0}, "=", third_rhs),
+            Constraint({"x": 1.0, "y": -1.0}, "<=", 0.5),
+        ],
+        Objective("min", {"x": 1.0}),
+    )
+
+
 def random_connected_network(rng: np.random.Generator, n_buses: int) -> Network:
     """Random connected network: a spanning tree plus a few extra lines."""
     buses = [f"b{i}" for i in range(n_buses)]

@@ -198,9 +198,16 @@ def band_model(name):
     return build_dcopf(network_from_dict(doc)) if doc["schema"] == "aos-net/1" else LpModel.from_json_dict(doc)
 
 
+def band_taus(z_star, sense):
+    """z* moved towards better values by d * max(1, |z*|), d from 0 to 1e-6."""
+    for d in [0.0] + [10.0**-k for k in range(12, 5, -1)]:
+        step = d * max(1.0, abs(z_star))
+        yield z_star - step if sense == "min" else z_star + step
+
+
 class TestTheBandAroundTheOptimum:
-    # tau = z* moved towards better values by d * max(1, |z*|): beyond
-    # 1e-9 the set is provably empty; within it, it is the optimal face
+    # beyond 1e-9 relative the set is provably empty; within it, tau stands
+    # for z* itself, and the set is the optimal face
     @pytest.mark.parametrize("sense", ["min", "max"])
     @pytest.mark.parametrize("name", ["canonical_3bus", "triangle_exact", "triangle_perturbed", "large"])
     def test_empty_exactly_when_provably_empty(self, run, tmp_path, name, sense):
@@ -213,24 +220,37 @@ class TestTheBandAroundTheOptimum:
         face = enumerate_vertices(boxed, best.value, SublevelSpec(gap=0.0), start=best)
         assert face.complete and len(face) >= 1
         outcomes = set()
-        for d in [0.0] + [10.0**-k for k in range(12, 5, -1)]:
-            step = d * max(1.0, abs(best.value))
-            tau = best.value - step if sense == "min" else best.value + step
+        for tau in band_taus(best.value, sense):
             empty = _provably_empty(best.value, tau, sense)
             outcomes.add(empty)
-            code, out, _ = run("enumerate", path, "--tau", repr(tau))
-            doc = json.loads(out)
-            assert code == 0 and doc["result"]["complete"] is True
-            assert doc["provably_empty"] is empty
+            docs = [json.loads(run(cmd, path, "--tau", repr(tau))[1]) for cmd in ("enumerate", "oracle")]
             spec = SublevelSpec(tau=tau)
-            for vs in (
-                VertexSet.from_json_dict(doc["result"]),
-                enumerate_vertices(boxed, best.value, spec, start=best),
-                enumerate_vertices(boxed, best.value, spec),
-            ):
+            assert all(doc["provably_empty"] is empty for doc in docs)
+            runs = [(VertexSet.from_json_dict(doc["result"]), doc["z_star"]) for doc in docs] + [
+                (enumerate_vertices(boxed, best.value, spec, start=best), best.value),
+                (enumerate_vertices(boxed, best.value, spec), best.value),
+            ]
+            for vs, z_star in runs:
                 assert vs.complete
                 assert (len(vs) == 0) is empty
-                assert empty or vs.same_points(face)
+                # the walk, the oracle and the report all cut at z* itself
+                assert empty or (vs.same_points(face) and vs.tau == z_star)
+        assert outcomes == {False, True}
+
+    def test_verify_cuts_every_model_at_one_level(self, run):
+        _, out, _ = run("verify", CANONICAL, "--gap", "0")
+        face = json.loads(out)
+        outcomes = set()
+        for tau in band_taus(face["z_star"], "min"):
+            empty = _provably_empty(face["z_star"], tau, "min")
+            outcomes.add(empty)
+            code, out, _ = run("verify", CANONICAL, "--tau", repr(tau))
+            doc = json.loads(out)
+            assert code == 0 and doc["passed"] is True and doc["complete"] is True
+            assert (doc["vertex_counts"]["dcopf"] == 0) is empty
+            if not empty:
+                assert doc["tau"] == face["z_star"] and doc["vertex_counts"] == face["vertex_counts"]
+                assert [p["tau"] for p in doc["result"]["pairs"]] == [face["z_star"]] * 3
         assert outcomes == {False, True}
 
     def test_the_network_fixture_just_below_its_optimum(self, run):

@@ -31,7 +31,7 @@ from aoskit import (
 )
 from aoskit.cli import main
 
-from conftest import feasible_random_network, random_bounded_lp
+from conftest import dependent_cube, feasible_random_network, random_bounded_lp
 
 GAP0 = SublevelSpec(gap=0.0)
 
@@ -604,12 +604,7 @@ class TestWalkFromTheOptimum:
         assert calls == []
         assert len(vs) == 12 and vs.complete and vs.meta["rejected"] == 0
         # a dependent equality row, dropped by the caller's solve, stays out
-        cube = [Variable(n, 0.0, 1.0) for n in "xyz"]
-        m = LpModel(cube, [
-            Constraint({"x": 1.0, "y": 1.0, "z": 1.0}, "=", 1.5),
-            Constraint({"x": 2.0, "y": 2.0, "z": 2.0}, "=", 3.0),
-            Constraint({"x": 1.0, "y": -1.0}, "<=", 0.5),
-        ], Objective("min", {"x": 1.0}))
+        m = dependent_cube()
         best = solve_model(m)
         assert best.sf.row_origin == (0, 2)
         vs = enumerate_vertices(m, best.value, SublevelSpec(gap=2.0), start=best)

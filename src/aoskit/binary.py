@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import LpModel
 from .simplex import INFEASIBLE, NUMERIC_FAILURE, OPTIMAL, SimplexResult, solve_from, solve_model, solve_standard
-from .sublevel import SublevelSpec
+from .sublevel import SublevelSpec, _provably_empty
 
 INT_TOL = 1e-6
 VALUE_TOL = 1e-9
@@ -84,8 +84,9 @@ def _tree(model: LpModel, names: tuple[str, ...], spec: SublevelSpec, limit: int
     relaxation it branches on the lowest-index unfixed binary, and the child
     keeping the relaxation's value goes first, reusing the parent's result
     when that value is exact. Keys are ``sign * value``. Once a leaf is found,
-    a key above the level of the root or of the best leaf, whichever is
-    worse, is pruned (``resolve`` falls as z falls when gap > 1 and z < -1).
+    a key past the level of the root or of the best leaf, whichever is
+    worse, by more than the band :meth:`SublevelSpec.resolve` folds into the
+    optimum is pruned (``resolve`` falls as z falls when gap > 1 and z < -1).
     Once ``limit`` leaves are held, so is a key that does not beat the worst
     by more than ``VALUE_TOL``: the first leaf found wins a tie.
 
@@ -106,7 +107,8 @@ def _tree(model: LpModel, names: tuple[str, ...], spec: SublevelSpec, limit: int
     stats = {"lp_solves": 0, "pivots": 0}
 
     def pruned(key: float) -> bool:
-        return key > level + VALUE_TOL or (len(leaves) == limit and key >= leaves[-1][0] - VALUE_TOL)
+        # nothing below a node beats its key: the level may be empty there
+        return _provably_empty(key, level, "min") or (len(leaves) == limit and key >= leaves[-1][0] - VALUE_TOL)
 
     # (fixes, parent key, parent result, branched position); the root has no parent
     stack: list[tuple[dict[str, int], float, SimplexResult | None, int]] = [({}, -math.inf, None, -1)]

@@ -30,7 +30,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,121 +80,74 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, echoed verbatim into the report."""
-
-    command: str
-    input_path: str
-    model_kind: str | None = None
-    gap: float | None = None
-    tau: float | None = None
-    box_bound: float = 1e4
-    limit: int = 10_000
-    dedup_tol: float = 1e-6
-    seed: int | None = None
-    project: str | None = None
-    secondary_path: str | None = None
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.gap is not None and self.tau is not None:
-            raise UsageError("--gap and --tau are mutually exclusive")
-        if self.gap is not None and self.gap < 0:
-            raise UsageError("--gap must be nonnegative")
-        if self.limit < 1:
-            raise UsageError("--limit must be at least 1")
-        if self.dedup_tol < 0:
-            raise UsageError("--dedup-tol must be nonnegative")
-        if self.box_bound <= 0:
-            raise UsageError("--box-bound must be positive")
-
-    @classmethod
-    def from_args(cls, ns: argparse.Namespace) -> "RunConfig":
-        return cls(
-            command=ns.command,
-            input_path=ns.input,
-            model_kind=getattr(ns, "model", None),
-            gap=getattr(ns, "gap", None),
-            tau=getattr(ns, "tau", None),
-            box_bound=getattr(ns, "box_bound", 1e4),
-            limit=getattr(ns, "limit", 10_000),
-            dedup_tol=getattr(ns, "dedup_tol", 1e-6),
-            seed=getattr(ns, "seed", None),
-            project=getattr(ns, "project", None),
-            secondary_path=getattr(ns, "secondary", None),
-            output=getattr(ns, "output", None),
-        )
-
-    def sublevel_spec(self) -> SublevelSpec:
-        if self.tau is not None:
-            return SublevelSpec(tau=self.tau)
-        return SublevelSpec(gap=self.gap if self.gap is not None else 0.0)
-
-    def to_json_dict(self) -> dict:
-        # Deliberately excludes the output path: the report must not depend
-        # on where it is written.
-        return {
-            "command": self.command,
-            "input": self.input_path,
-            "model": self.model_kind,
-            "gap": self.gap,
-            "tau": self.tau,
-            "box_bound": self.box_bound,
-            "limit": self.limit,
-            "dedup_tol": self.dedup_tol,
-            "seed": self.seed,
-            "project": self.project,
-            "secondary": self.secondary_path,
-        }
+# Every configuration key but the input, with its default. Each subcommand
+# gets the whole table, so a flag it lacks still reads its default.
+_DEFAULTS = {
+    "model": None, "gap": None, "tau": None, "box_bound": 1e4, "limit": 10_000,
+    "dedup_tol": 1e-6, "seed": None, "project": None, "secondary": None,
+}
+# The report's config block. The output path is left out: the report must
+# not depend on where it is written.
+_CONFIG_KEYS = ("command", "input", *_DEFAULTS)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="aoskit", description="enumerate and compare alternative optima of linear programs")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, *, limits=True, projection=True):
+    def command(name, help, *adders):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(**_DEFAULTS)
         p.add_argument("input", help="path to an aos-net/1 or aos-lp/1 JSON file")
+        for add in adders:
+            add(p)
+        return p
+
+    def add_model(p):
+        p.add_argument("--model", choices=MODEL_KINDS, help="model family to build from a network input (default dcopf)")
+
+    def add_output(p):
         p.add_argument("--output", metavar="PATH", help="write the JSON report here instead of stdout")
+
+    def add_common(p, *, limits=True, projection=True):
+        add_output(p)
         g = p.add_mutually_exclusive_group()
         g.add_argument("--gap", type=float, help="relative optimality gap (default 0: exact optima only)")
         g.add_argument("--tau", type=float, help="absolute objective threshold, overrides --gap")
-        p.add_argument("--box-bound", type=float, default=1e4, metavar="M",
-                       help="replace infinite variable bounds with +/- M (default 1e4)")
+        p.add_argument("--box-bound", type=float, metavar="M",
+                       help="replace infinite variable bounds with +/- M (default %(default)s)")
         if limits:
-            p.add_argument("--limit", type=int, default=10_000, metavar="N",
-                           help="stop after N distinct vertices (default 10000)")
+            p.add_argument("--limit", type=int, metavar="N", help="stop after N distinct vertices (default %(default)s)")
             p.add_argument("--seed", type=int, metavar="S",
                            help="shuffle exploration order; the result set must not change")
-        p.add_argument("--dedup-tol", type=float, default=1e-6, metavar="T",
-                       help="points closer than T (max-norm) are one vertex (default 1e-6)")
+        p.add_argument("--dedup-tol", type=float, metavar="T",
+                       help="points closer than T (max-norm) are one vertex (default %(default)s)")
         if projection:
             p.add_argument("--project", metavar="SPEC",
                            help="project results: a role name, a coordinate count, or comma-separated variable names")
 
-    p_solve = sub.add_parser("solve", help="solve the model and report one optimal point")
-    p_solve.add_argument("input", help="path to an aos-net/1 or aos-lp/1 JSON file")
-    p_solve.add_argument("--model", choices=MODEL_KINDS, help="model family to build from a network input (default dcopf)")
-    p_solve.add_argument("--output", metavar="PATH", help="write the JSON report here instead of stdout")
-
-    p_enum = sub.add_parser("enumerate", help="enumerate all vertices of the optimal-or-near-optimal set")
-    add_common(p_enum)
-    p_enum.add_argument("--model", choices=MODEL_KINDS, help="model family to build from a network input (default dcopf)")
-
-    p_oracle = sub.add_parser("oracle", help="enumerate vertices by brute-force hyperplane intersection")
-    add_common(p_oracle, limits=False)
-    p_oracle.add_argument("--model", choices=MODEL_KINDS, help="model family to build from a network input (default dcopf)")
-
-    p_verify = sub.add_parser("verify", help="check projection containment across dcopf, network-flow and copper-plate relaxations")
-    add_common(p_verify, projection=False)
-
-    p_rank = sub.add_parser("rank", help="order enumerated alternatives by a secondary criterion")
-    add_common(p_rank)
-    p_rank.add_argument("--model", choices=MODEL_KINDS, help="model family to build from a network input (default dcopf)")
+    command("solve", "solve the model and report one optimal point", add_model, add_output)
+    command("enumerate", "enumerate all vertices of the optimal-or-near-optimal set", add_common, add_model)
+    command("oracle", "enumerate vertices by brute-force hyperplane intersection",
+            functools.partial(add_common, limits=False), add_model)
+    command("verify", "check projection containment across dcopf, network-flow and copper-plate relaxations",
+            functools.partial(add_common, projection=False))
+    p_rank = command("rank", "order enumerated alternatives by a secondary criterion", add_common, add_model)
     p_rank.add_argument("--secondary", metavar="FILE", required=True,
                         help="JSON file with either a linear objective or an explicit score list")
 
     return parser
+
+
+def _check_ranges(ns: argparse.Namespace) -> None:
+    if ns.gap is not None and ns.gap < 0:
+        raise UsageError("--gap must be nonnegative")
+    if ns.limit < 1:
+        raise UsageError("--limit must be at least 1")
+    if ns.dedup_tol < 0:
+        raise UsageError("--dedup-tol must be nonnegative")
+    if ns.box_bound <= 0:
+        raise UsageError("--box-bound must be positive")
 
 
 def _read_json(path: str):
@@ -208,34 +160,33 @@ def _read_json(path: str):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_model(cfg: RunConfig):
-    """Returns (kind, model).  Sniffs the input schema to pick a loader."""
-    doc = _read_json(cfg.input_path)
-    schema = doc.get("schema") if isinstance(doc, dict) else None
+def _schema(doc):
+    return doc.get("schema") if isinstance(doc, dict) else None
+
+
+def _load_model(ns: argparse.Namespace, doc) -> LpModel:
+    """The model of an input document; its schema picks the loader."""
+    schema = _schema(doc)
     if schema == LP_SCHEMA:
-        if cfg.model_kind not in (None, "raw-lp"):
-            raise UsageError(f"--model {cfg.model_kind} needs a network input, got a raw LP")
+        if ns.model not in (None, "raw-lp"):
+            raise UsageError(f"--model {ns.model} needs a network input, got a raw LP")
         try:
-            return "raw-lp", LpModel.from_json_dict(doc)
+            return LpModel.from_json_dict(doc)
         except ValueError as exc:
             raise UsageError(f"bad LP document: {exc}") from exc
     if schema == NET_SCHEMA:
         net = network_from_dict(doc)
-        kind = cfg.model_kind or "dcopf"
+        kind = ns.model or "dcopf"
         if kind == "raw-lp":
             raise UsageError("--model raw-lp needs an aos-lp/1 input, got a network")
-        builder = {"dcopf": build_dcopf, "nf": build_network_flow, "cp": build_copper_plate}[kind]
-        return kind, builder(net)
-    raise UsageError(
-        f"unrecognized input schema {schema!r} in {cfg.input_path}; expected {NET_SCHEMA!r} or {LP_SCHEMA!r}"
-    )
+        return {"dcopf": build_dcopf, "nf": build_network_flow, "cp": build_copper_plate}[kind](net)
+    raise UsageError(f"unrecognized input schema {schema!r} in {ns.input}; expected {NET_SCHEMA!r} or {LP_SCHEMA!r}")
 
 
-def _load_network(cfg: RunConfig):
-    doc = _read_json(cfg.input_path)
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != NET_SCHEMA:
-        raise UsageError(f"verify needs an {NET_SCHEMA!r} network input, got schema {schema!r}")
+def _load_network(ns: argparse.Namespace):
+    doc = _read_json(ns.input)
+    if _schema(doc) != NET_SCHEMA:
+        raise UsageError(f"verify needs an {NET_SCHEMA!r} network input, got schema {_schema(doc)!r}")
     return network_from_dict(doc)
 
 
@@ -255,15 +206,6 @@ def _projection_from_flag(text: str, model: LpModel) -> ProjectionSpec:
     return ProjectionSpec(names=tuple(part.strip() for part in text.split(",")))
 
 
-def _emit(cfg: RunConfig, payload: dict) -> None:
-    doc = make_report(cfg.command, cfg.to_json_dict(), payload)
-    text = write_report(doc, cfg.output)
-    if cfg.output is None:
-        sys.stdout.write(text)
-    else:
-        log.info("report written to %s", cfg.output)
-
-
 _STATUS_EXIT = {
     OPTIMAL: EXIT_OK,
     INFEASIBLE: EXIT_INFEASIBLE,
@@ -272,10 +214,15 @@ _STATUS_EXIT = {
 }
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    kind, model = _load_model(cfg)
+class _NoOptimum(Exception):
+    """Raised with the solve result of a model to enumerate that has no
+    optimum: the command reports that result's status instead."""
+
+
+def cmd_solve(ns: argparse.Namespace) -> tuple[dict, int]:
+    model = _load_model(ns, _read_json(ns.input))
     result = solve_model(model)
-    log.info("%s solve: status=%s value=%s", kind, result.status, result.value)
+    log.info("solve: status=%s value=%s", result.status, result.value)
     payload = {
         "status": result.status,
         "value": result.value,
@@ -287,100 +234,83 @@ def cmd_solve(cfg: RunConfig) -> int:
         payload["ray"] = result.ray.tolist()
     if result.message:
         payload["message"] = result.message
-    _emit(cfg, payload)
-    return _STATUS_EXIT[result.status]
+    return payload, _STATUS_EXIT[result.status]
 
 
-def _enumerate_payload(cfg: RunConfig, use_oracle: bool):
-    """Shared body of the enumerate and oracle commands."""
-    kind, model = _load_model(cfg)
-    boxed = apply_box_bounds(model, cfg.box_bound)
-    base = solve_model(boxed)
+def _walk(ns: argparse.Namespace, model: LpModel, spec: SublevelSpec | None = None, oracle: bool = False):
+    """Solves ``model`` and lists the vertices of its sublevel set at
+    ``spec`` (by default the level the flags give): by the oracle, or by
+    the vertex walk from the optimum in the order ``--seed`` shuffles.
+    Returns the optimum and the vertex set. A model without an optimum ends
+    the command."""
+    base = solve_model(model)
     if base.status != OPTIMAL:
-        payload = {"status": base.status, "message": base.message}
-        return payload, _STATUS_EXIT[base.status]
-    spec = cfg.sublevel_spec()
-    log.info("%s baseline optimum %s", kind, base.value)
-    if use_oracle:
-        vs = brute_force_vertices(boxed, base.value, spec, dedup_tol=cfg.dedup_tol)
+        raise _NoOptimum(base)
+    if spec is None:
+        spec = SublevelSpec(tau=ns.tau) if ns.tau is not None else SublevelSpec(gap=0.0 if ns.gap is None else ns.gap)
+    if oracle:
+        vs = brute_force_vertices(model, base.value, spec, dedup_tol=ns.dedup_tol)
     else:
-        rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
+        rng = None if ns.seed is None else np.random.default_rng(ns.seed)
         vs = enumerate_vertices(
-            boxed, base.value, spec, limit=cfg.limit, dedup_tol=cfg.dedup_tol, order_rng=rng, start=base
+            model, base.value, spec, limit=ns.limit, dedup_tol=ns.dedup_tol, order_rng=rng, start=base
         )
-    out = vs
-    if cfg.project is not None:
-        out = project_set(vs, _projection_from_flag(cfg.project, boxed), dedup_tol=cfg.dedup_tol)
-    sense = model.objective.sense
+    log.info("z*=%s tau=%s: %d vertices", base.value, vs.tau, len(vs))
+    return base, vs
+
+
+def _listed(ns: argparse.Namespace, model: LpModel, oracle: bool = False):
+    """The optimum of ``model`` within ``--box-bound``, its vertex set, and
+    that set as reported: projected when ``--project`` asks."""
+    boxed = apply_box_bounds(model, ns.box_bound)
+    base, vs = _walk(ns, boxed, oracle=oracle)
+    if ns.project is None:
+        return base, vs, vs
+    return base, vs, project_set(vs, _projection_from_flag(ns.project, boxed), dedup_tol=ns.dedup_tol)
+
+
+def cmd_enumerate(ns: argparse.Namespace) -> tuple[dict, int]:
+    """The enumerate and oracle commands."""
+    model = _load_model(ns, _read_json(ns.input))
+    base, vs, out = _listed(ns, model, oracle=ns.command == "oracle")
     payload = {
         "status": "ok",
         "z_star": base.value,
-        "provably_empty": _provably_empty(base.value, vs.tau, sense) if vs.tau is not None else False,
+        "provably_empty": _provably_empty(base.value, vs.tau, model.objective.sense),
         "result": out.to_json_dict(),
     }
     return payload, EXIT_OK if out.complete else EXIT_TRUNCATED
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    payload, code = _enumerate_payload(cfg, use_oracle=False)
-    _emit(cfg, payload)
-    return code
-
-
-def cmd_oracle(cfg: RunConfig) -> int:
-    payload, code = _enumerate_payload(cfg, use_oracle=True)
-    _emit(cfg, payload)
-    return code
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    net = _load_network(cfg)
+def cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
+    net = _load_network(ns)
     dc = build_dcopf(net)
     nf = build_network_flow(net)
     cp = build_copper_plate(net)
-    dc_boxed = apply_box_bounds(dc, cfg.box_bound)
-
-    base = solve_model(dc_boxed)
-    if base.status != OPTIMAL:
-        _emit(cfg, {"status": base.status, "message": base.message})
-        return _STATUS_EXIT[base.status]
-    tau = cfg.sublevel_spec().resolve(base.value, "min")
+    base, dc_vs = _walk(ns, apply_box_bounds(dc, ns.box_bound))
     # One absolute threshold everywhere: relaxations have lower optima, so a
     # relative gap re-resolved per model would move the goal posts.
-    abs_spec = SublevelSpec(tau=tau)
-    log.info("verify: z*=%s tau=%s", base.value, tau)
-
-    dc_vs = enumerate_vertices(
-        dc_boxed, base.value, abs_spec, limit=cfg.limit, dedup_tol=cfg.dedup_tol, start=base
-    )
-    nf_base = solve_model(nf)
-    if nf_base.status != OPTIMAL:
-        _emit(cfg, {"status": nf_base.status, "message": nf_base.message})
-        return _STATUS_EXIT[nf_base.status]
-    nf_vs = enumerate_vertices(
-        nf, nf_base.value, abs_spec, limit=cfg.limit, dedup_tol=cfg.dedup_tol, start=nf_base
-    )
-
+    abs_spec = SublevelSpec(tau=dc_vs.tau)
+    nf_base, nf_vs = _walk(ns, nf, abs_spec)
     onto_nf = ProjectionSpec(names=nf.variable_names)
     onto_cp = ProjectionSpec(names=cp.variable_names)
     report = ContainmentReport.combine([
-        check_containment(dc_vs, onto_nf, nf, base.value, abs_spec, dedup_tol=cfg.dedup_tol, label="dcopf->nf"),
-        check_containment(dc_vs, onto_cp, cp, base.value, abs_spec, dedup_tol=cfg.dedup_tol, label="dcopf->cp"),
-        check_containment(nf_vs, onto_cp, cp, nf_base.value, abs_spec, dedup_tol=cfg.dedup_tol, label="nf->cp"),
+        check_containment(dc_vs, onto_nf, nf, base.value, abs_spec, dedup_tol=ns.dedup_tol, label="dcopf->nf"),
+        check_containment(dc_vs, onto_cp, cp, base.value, abs_spec, dedup_tol=ns.dedup_tol, label="dcopf->cp"),
+        check_containment(nf_vs, onto_cp, cp, nf_base.value, abs_spec, dedup_tol=ns.dedup_tol, label="nf->cp"),
     ])
     payload = {
         "status": "ok",
         "z_star": base.value,
-        "tau": tau,
+        "tau": abs_spec.tau,
         "passed": report.passed,
         "complete": dc_vs.complete and nf_vs.complete,
         "vertex_counts": {"dcopf": len(dc_vs), "nf": len(nf_vs)},
         "result": report.to_json_dict(),
     }
-    _emit(cfg, payload)
     if not report.passed:
-        return EXIT_VERIFY_FAIL
-    return EXIT_OK if payload["complete"] else EXIT_TRUNCATED
+        return payload, EXIT_VERIFY_FAIL
+    return payload, EXIT_OK if payload["complete"] else EXIT_TRUNCATED
 
 
 def _load_secondary(path: str):
@@ -411,25 +341,16 @@ def _load_secondary(path: str):
     raise UsageError(f"{path}: secondary criterion needs either 'coeffs' or 'scores'")
 
 
-def cmd_rank(cfg: RunConfig) -> int:
-    doc = _read_json(cfg.input_path)
+def cmd_rank(ns: argparse.Namespace) -> tuple[dict, int]:
+    doc = _read_json(ns.input)
     from_report = (
         isinstance(doc, dict)
         and doc.get("schema_version") == REPORT_SCHEMA
         and isinstance(doc.get("result"), dict)
         and "points" in doc["result"]
     )
-    if from_report:
-        vs = VertexSet.from_json_dict(doc["result"])
-    else:
-        payload, code = _enumerate_payload(cfg, use_oracle=False)
-        if payload.get("status") != "ok":
-            _emit(cfg, payload)
-            return code
-        vs = VertexSet.from_json_dict(payload["result"])
-    exit_code = EXIT_OK if vs.complete else EXIT_TRUNCATED
-
-    sense, secondary = _load_secondary(cfg.secondary_path)
+    vs = VertexSet.from_json_dict(doc["result"]) if from_report else _listed(ns, _load_model(ns, doc))[2]
+    sense, secondary = _load_secondary(ns.secondary)
     try:
         if isinstance(secondary, Objective):
             ranked = rank_alternatives(vs, secondary)
@@ -444,16 +365,25 @@ def cmd_rank(cfg: RunConfig) -> int:
         "tau": vs.tau,
         "result": ranked.to_json_dict(),
     }
-    _emit(cfg, payload)
-    return exit_code
+    return payload, EXIT_OK if vs.complete else EXIT_TRUNCATED
 
 
 _COMMANDS = {
     "solve": cmd_solve,
     "enumerate": cmd_enumerate,
-    "oracle": cmd_oracle,
+    "oracle": cmd_enumerate,
     "verify": cmd_verify,
     "rank": cmd_rank,
+}
+
+# Errors that end a command without a report, and their exit codes; the
+# first class an error is an instance of decides.
+_ERROR_EXIT = {
+    UsageError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,  # NetworkError among them
+    OracleGuardError: EXIT_USAGE,
+    UnboundedRegionError: EXIT_UNBOUNDED,
+    NumericFailureError: EXIT_NUMERIC,
 }
 
 
@@ -476,26 +406,23 @@ def main(argv=None) -> int:
     _configure_logging()
     try:
         ns = _shared_parser().parse_args(argv)
-        cfg = RunConfig.from_args(ns)
-        return _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"aoskit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NetworkError as exc:
-        print(f"aoskit: error[{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OracleGuardError as exc:
-        print(f"aoskit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnboundedRegionError as exc:
-        print(f"aoskit: error: {exc}", file=sys.stderr)
-        return EXIT_UNBOUNDED
-    except NumericFailureError as exc:
-        print(f"aoskit: error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"aoskit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        _check_ranges(ns)
+        try:
+            payload, code = _COMMANDS[ns.command](ns)
+        except _NoOptimum as stop:
+            (base,) = stop.args
+            payload, code = {"status": base.status, "message": base.message}, _STATUS_EXIT[base.status]
+        config = {key: getattr(ns, key) for key in _CONFIG_KEYS}
+        text = write_report(make_report(ns.command, config, payload), ns.output)
+        if ns.output is None:
+            sys.stdout.write(text)
+        else:
+            log.info("report written to %s", ns.output)
+        return code
+    except tuple(_ERROR_EXIT) as exc:
+        tag = f"error[{exc.code}]" if isinstance(exc, NetworkError) else "error"
+        print(f"aoskit: {tag}: {exc}", file=sys.stderr)
+        return next(code for cls, code in _ERROR_EXIT.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

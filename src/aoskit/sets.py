@@ -181,9 +181,9 @@ class VertexSet:
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dimension,):
             raise ValueError(f"point dimensions differ: {q.shape} vs ({self.dimension},)")
-        if len(self) == 0:
-            return False
-        return bool(np.min(np.abs(self.points - q).max(axis=1)) <= tol)
+        index = _PointIndex(tol)
+        index.add(self.points)
+        return index.find(q[None])[0] >= 0
 
     def is_subset_of(self, other: "VertexSet", tol: float = 1e-6) -> bool:
         """Whether every point matches one of other's within max-coordinate tol."""

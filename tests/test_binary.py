@@ -299,3 +299,21 @@ class TestAgainstExhaustiveScan:
             assert pool.tau == pytest.approx(tau, abs=1e-9)
             assert pool.assignments == [a for a, _ in expected]
             assert pool.values == pytest.approx([v for _, v in expected], abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# a tau past the optimum by rounding only stands for the optimum's own level
+
+
+def test_an_in_band_tau_gives_the_gap_zero_pool():
+    # tau better than z* by up to 9e-10 * max(1, |z*|): SublevelSpec.resolve
+    # folds it into z*, so the tree must not prune the optimal leaf at it
+    for seed in range(200):
+        model, names = random_binary_program(np.random.default_rng(seed))
+        exact = enumerate_binary(model, names, SublevelSpec(gap=0.0))
+        sign = 1.0 if model.objective.sense == "min" else -1.0
+        for d in (1e-10, 5e-10, 9e-10):
+            tau = exact.tau - sign * d * max(1.0, abs(exact.tau))
+            pool = enumerate_binary(model, names, SublevelSpec(tau=tau))
+            assert pool.exhausted and pool.tau == exact.tau, (seed, d)
+            assert pool.assignments == exact.assignments and pool.values == exact.values, (seed, d)

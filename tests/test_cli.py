@@ -26,6 +26,8 @@ from aoskit.simplex import NUMERIC_FAILURE, SimplexResult
 from aoskit.sublevel import _provably_empty
 from aoskit.vertices import NumericFailureError
 
+from conftest import feasible_random_network
+
 CANONICAL = str(resources.files("aoskit") / "fixtures" / "canonical_3bus.json")
 TRIANGLE_EXACT = str(resources.files("aoskit") / "fixtures" / "triangle_exact.json")
 TRIANGLE_PERTURBED = str(resources.files("aoskit") / "fixtures" / "triangle_perturbed.json")
@@ -356,6 +358,36 @@ class TestVerify:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class TestVerifySeed:
+    def test_seed_orders_both_walks(self, run, monkeypatch):
+        real = cli.enumerate_vertices
+        seen = []
+
+        def spy(model, *args, order_rng=None, **kwargs):
+            state = None if order_rng is None else order_rng.bit_generator.state
+            seen.append((model.metadata["model_family"], state))
+            return real(model, *args, order_rng=order_rng, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_vertices", spy)
+        assert run("verify", CANONICAL, "--seed", 5)[0] == 0
+        assert seen == [(family, np.random.default_rng(5).bit_generator.state) for family in ("dcopf", "nf")]
+        seen.clear()
+        assert run("verify", CANONICAL)[0] == 0
+        assert seen == [("dcopf", None), ("nf", None)]
+
+    def test_seed_keeps_the_verdict(self, run, tmp_path):
+        inputs = [CANONICAL]
+        for seed in range(6):
+            for buses in (4, 5, 6):
+                net = feasible_random_network(np.random.default_rng(seed), buses)[0]
+                inputs.append(write_json(tmp_path, f"net{seed}_{buses}.json", net.to_json_dict()))
+        for path in inputs:
+            docs = [json.loads(run("verify", path, "--gap", "0.05", *flags)[1])
+                    for flags in ([], ["--seed", "1"], ["--seed", "2"])]
+            verdicts = [(doc["passed"], doc["complete"], doc["vertex_counts"]) for doc in docs]
+            assert verdicts[1:] == verdicts[:1] * 2, path
+
+
 # ---------------------------------------------------------------------------
 # rank
 
@@ -489,12 +521,53 @@ class TestUsageErrors:
         sec = write_json(tmp_path, "sec.json", {"sense": "max"})
         self.assert_usage(run("rank", CANONICAL, "--gap", 0, "--secondary", sec))
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--dedup-tol", -1, "--dedup-tol must be nonnegative"),
+        ("--box-bound", 0, "--box-bound must be positive"),
+        ("--box-bound", -1, "--box-bound must be positive"),
+    ])
+    def test_out_of_range_tolerance_and_box(self, run, flag, value, message):
+        code, _, err = run("enumerate", CANONICAL, flag, value)
+        assert code == 64
+        assert err == f"aoskit: error: {message}\n"
+
     def test_usage_failure_leaves_no_partial_report(self, run, tmp_path):
         out_path = tmp_path / "never.json"
         bad = write_json(tmp_path, "odd.json", {"schema": "wat/9"})
         code, _, _ = run("enumerate", bad, "--output", out_path)
         assert code == 64
         assert not out_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# the config block
+
+
+# every flag at a value other than its default
+FLAG_VALUES = {"model": "dcopf", "gap": 0.05, "box_bound": 2e4, "limit": 50, "seed": 3, "dedup_tol": 1e-7,
+               "project": "generation"}
+COMMAND_FLAGS = {
+    "solve": ("model",),
+    "enumerate": ("model", "gap", "box_bound", "limit", "seed", "dedup_tol", "project"),
+    "oracle": ("model", "gap", "box_bound", "dedup_tol", "project"),
+    "verify": ("gap", "box_bound", "limit", "seed", "dedup_tol"),
+    "rank": ("model", "gap", "box_bound", "limit", "seed", "dedup_tol", "project", "secondary"),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_config_holds_every_key_in_order(run, tmp_path, command):
+    values = {**FLAG_VALUES, "secondary": secondary_file(tmp_path, {"sense": "max", "coeffs": {"P[1]": 1.0}})}
+    argv = [command, CANONICAL, "--output", tmp_path / "report.json"]
+    for key in COMMAND_FLAGS[command]:
+        argv += ["--" + key.replace("_", "-"), values[key]]
+    assert run(*argv)[0] == 0
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    defaults = {"model": None, "gap": None, "tau": None, "box_bound": 1e4, "limit": 10_000, "dedup_tol": 1e-6,
+                "seed": None, "project": None, "secondary": None}
+    given = {key: values[key] for key in COMMAND_FLAGS[command]}
+    # the output path is left out
+    assert list(config.items()) == [("command", command), ("input", CANONICAL)] + list({**defaults, **given}.items())
 
 
 # ---------------------------------------------------------------------------

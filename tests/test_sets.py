@@ -183,6 +183,20 @@ def test_containment_matches_a_scan(points, tol, data):
         assert va.same_points(vb, tol) == (a_in_b and b_in_a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    clustered_points(dims=st.integers(1, 4), coords=st.one_of(CENTRES, NEAR_EDGES)),
+    st.sampled_from([0.0, TOL, 2.5 * TOL]),
+    st.data(),
+)
+def test_contains_point_matches_a_scan(points, tol, data):
+    names = tuple(f"x{i}" for i in range(points.shape[1]))
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points))), dtype=bool)
+    listed = VertexSet(points[keep], names)
+    for q in points:
+        assert listed.contains_point(q, tol) == scan_subset(q[None], listed.points, tol)
+
+
 def test_containment_keeps_every_point_of_the_other_set():
     # the other set's two points lie within tol of each other, and only the
     # second matches the query

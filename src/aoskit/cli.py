@@ -322,12 +322,15 @@ def _load_secondary(path: str):
         raise UsageError(f"{path}: sense must be 'min' or 'max', got {sense!r}")
     if "scores" in doc:
         scores = doc["scores"]
-        if not isinstance(scores, list) or not all(isinstance(v, (int, float)) for v in scores):
+        # JSON true and false are Python ints, but no scores
+        if not isinstance(scores, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in scores
+        ):
             raise UsageError(f"{path}: 'scores' must be a list of numbers")
         return sense, [float(v) for v in scores]
     if "coeffs" in doc:
         coeffs = doc["coeffs"]
-        if not isinstance(coeffs, dict):
+        if not isinstance(coeffs, dict) or any(isinstance(v, bool) for v in coeffs.values()):
             raise UsageError(f"{path}: 'coeffs' must map variable names to numbers")
         try:
             obj = Objective(
@@ -413,7 +416,10 @@ def main(argv=None) -> int:
             (base,) = stop.args
             payload, code = {"status": base.status, "message": base.message}, _STATUS_EXIT[base.status]
         config = {key: getattr(ns, key) for key in _CONFIG_KEYS}
-        text = write_report(make_report(ns.command, config, payload), ns.output)
+        try:
+            text = write_report(make_report(ns.command, config, payload), ns.output)
+        except OSError as exc:
+            raise UsageError(f"cannot write {ns.output}: {exc.strerror or exc}") from exc
         if ns.output is None:
             sys.stdout.write(text)
         else:

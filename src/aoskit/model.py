@@ -21,6 +21,13 @@ OBJ_SENSES = ("min", "max")
 LP_SCHEMA = "aos-lp/1"
 
 
+def _json_object(value, what: str) -> Mapping:
+    """``value``, which a document must give as a JSON object."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Variable:
     """A named decision variable with (possibly infinite) bounds and a role tag."""
@@ -287,7 +294,7 @@ class LpModel:
             ]
             constraints = [
                 Constraint(
-                    coeffs={str(k): float(c) for k, c in con["coeffs"].items()},
+                    coeffs={str(k): float(c) for k, c in _json_object(con["coeffs"], "constraint coeffs").items()},
                     sense=str(con["sense"]),
                     rhs=float(con["rhs"]),
                 )
@@ -296,12 +303,12 @@ class LpModel:
             obj = doc.get("objective", {"sense": "min", "coeffs": {}})
             objective = Objective(
                 sense=str(obj["sense"]),
-                coeffs={str(k): float(c) for k, c in obj.get("coeffs", {}).items()},
+                coeffs={str(k): float(c) for k, c in _json_object(obj.get("coeffs", {}), "objective coeffs").items()},
                 constant=float(obj.get("constant", 0.0)),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed LP document: {exc}") from exc
-        metadata = doc.get("metadata") or {}
+        metadata = _json_object(doc.get("metadata") or {}, "metadata")
         return cls(variables, constraints, objective, metadata=dict(metadata))
 
     @classmethod

@@ -179,6 +179,9 @@ def network_from_dict(doc) -> Network:
     buses = doc.get("buses")
     if not isinstance(buses, list):
         raise NetworkError("schema", "'buses' must be a list of bus ids")
+    for key in ("generators", "loads"):
+        if not isinstance(doc.get(key) or {}, dict):
+            raise NetworkError("schema", f"{key!r} must be a JSON object keyed by bus id")
     try:
         lines = tuple(
             Line(

@@ -1,6 +1,7 @@
 """Finite point sets with canonical ordering, plus uniqueness certificates."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,74 +25,60 @@ class _PointIndex:
     """Points looked up by max-coordinate distance ``tol``: the one
     implementation of the rule that two points within ``tol`` are one.
 
-    Points are hashed by their coordinates rounded to cells far wider than
-    ``tol``. A lookup also probes the neighbouring cell of every coordinate
-    lying within twice ``tol`` of a cell edge, so it sees every stored point
-    within ``tol``; when many coordinates lie that close, it scans instead.
-    Cells and edge masks are computed for all rows of a call at once, so
-    each row costs dict lookups and a distance check of its candidates.
+    A point is hashed by its weighted coordinate sum. The weights are
+    positive and sum to 1, so points within ``tol`` have sums within
+    ``tol``; they are unequal, since many sets share one plain sum (cone
+    cross-sections sum to 1, DC-OPF generation to the load). A lookup
+    probes the sum's cell, 64 ``tol`` wide, and the cell across the nearer
+    edge when the sum lies within twice ``tol`` of it, then checks the
+    distance to each candidate. A row's sum depends on that row alone.
     """
-
-    _MAX_NEAR = 8
 
     def __init__(self, tol: float):
         self.tol = tol
-        self.cell = 1024.0 * tol if tol > 0 else 1.0
-        self.cells: dict[bytes, list[int]] = {}
+        self.cell = 64.0 * tol if tol > 0 else 1.0
+        self.cells: dict[float, list[int]] = {}
         self.points: list[np.ndarray] = []
 
-    def _keys(self, rows: np.ndarray):
-        """Every row in cell units, its cell's number per coordinate, and
-        its cell's key."""
-        s = rows / self.cell + 0.5
-        base = np.floor(s)
-        flat, width = base.tobytes(), base.shape[1] * base.itemsize
-        return s, base, [flat[i * width : (i + 1) * width] for i in range(len(rows))]
+    @staticmethod
+    @functools.cache
+    def _weights(d: int) -> np.ndarray:
+        """1 plus the fractional part of i times the golden ratio, scaled."""
+        w = 1.0 + (np.arange(d) * 0.6180339887498949) % 1.0
+        w /= w.sum()
+        w.flags.writeable = False  # one array serves every index
+        return w
 
-    def _store(self, key: bytes, y: np.ndarray) -> int:
-        self.cells.setdefault(key, []).append(len(self.points))
+    def _probes(self, rows: np.ndarray) -> list[tuple[float, ...]]:
+        """For each row, its own cell, then the neighbour to probe if any."""
+        # a C-ordered product sums each row alike whatever the batch
+        u = (np.ascontiguousarray(rows) * self._weights(rows.shape[1])).sum(axis=1) / self.cell
+        margin = 2.0 * self.tol / self.cell
+        cells = [(x // 1.0, x % 1.0) for x in u.tolist()]
+        return [(k, k - 1.0) if f <= margin else (k, k + 1.0) if f >= 1.0 - margin else (k,) for k, f in cells]
+
+    def _store(self, cell: float, y: np.ndarray) -> int:
+        self.cells.setdefault(cell, []).append(len(self.points))
         self.points.append(y)
         return len(self.points) - 1
 
     def add(self, rows: np.ndarray) -> None:
         """Store every row, also one within ``tol`` of a stored point."""
         rows = np.asarray(rows, dtype=float)
-        for key, y in zip(self._keys(rows)[2], rows):
-            self._store(key, y)
+        for probe, y in zip(self._probes(rows), rows):
+            self._store(probe[0], y)
 
     def find(self, rows: np.ndarray, store: bool = False) -> list[int]:
         """For each row, the index of a stored point within ``tol`` of it,
         or -1. With ``store``, a row with none is stored under the next
         index, and later rows of the same call see it."""
         rows = np.asarray(rows, dtype=float)
-        s, base, keys = self._keys(rows)
-        offset = (s - base) * self.cell
-        down = offset <= 2.0 * self.tol
-        near = down | (self.cell - offset <= 2.0 * self.tol)
-        near_cols: dict[int, list[int]] = {}
-        for r, i in zip(*(a.tolist() for a in np.nonzero(near))):
-            near_cols.setdefault(r, []).append(i)
         hits = []
-        for r, key in enumerate(keys):
-            y, hit, cols = rows[r], -1, near_cols.get(r, ())
-            if len(cols) > self._MAX_NEAR:
-                close = np.abs(np.reshape(self.points, (-1, y.size)) - y).max(axis=1) <= self.tol
-                if close.any():
-                    hit = int(close.argmax())
-            else:
-                probe = [base[r]]
-                for i in cols:
-                    moved = [k.copy() for k in probe]
-                    for k in moved:
-                        k[i] += -1.0 if down[r, i] else 1.0
-                    probe += moved
-                probe = [k.tobytes() for k in probe] if cols else [key]
-                for p in (p for k in probe for p in self.cells.get(k, ())):
-                    if np.abs(self.points[p] - y).max() <= self.tol:
-                        hit = p
-                        break
+        for probe, y in zip(self._probes(rows), rows):
+            near = (p for k in probe for p in self.cells.get(k, ()))
+            hit = next((p for p in near if np.abs(self.points[p] - y).max() <= self.tol), -1)
             if hit < 0 and store:
-                hit = self._store(key, y)
+                hit = self._store(probe[0], y)
             hits.append(hit)
         return hits
 
@@ -124,6 +111,19 @@ def dedup_and_sort(points: np.ndarray, dedup_tol: float) -> tuple[np.ndarray, np
     return pts[src], src
 
 
+def _point_rows(points, names: tuple[str, ...]) -> np.ndarray:
+    """``points`` as a float array of one row per point, one coordinate per
+    name."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        return np.zeros((0, len(names)))
+    if pts.ndim != 2:
+        raise ValueError(f"points must be rows of {len(names)} coordinates, got shape {pts.shape}")
+    if pts.shape[1] != len(names):
+        raise ValueError(f"points are {pts.shape[1]} wide, but there are {len(names)} names")
+    return pts
+
+
 @dataclass
 class VertexSet:
     """An ordered, deduplicated set of points in a labelled coordinate space.
@@ -151,12 +151,7 @@ class VertexSet:
         meta: dict | None = None,
     ) -> "VertexSet":
         names = tuple(names)
-        pts = np.asarray(points, dtype=float)
-        if pts.size == 0:
-            pts = np.zeros((0, len(names)))
-        if pts.shape[1] != len(names):
-            raise ValueError(f"{pts.shape[1]} coordinates but {len(names)} names")
-        kept, src = dedup_and_sort(pts, dedup_tol)
+        kept, src = dedup_and_sort(_point_rows(points, names), dedup_tol)
         obj = None
         if objectives is not None:
             obj = np.asarray(objectives, dtype=float)[src] if len(src) else np.zeros(0)
@@ -216,10 +211,14 @@ class VertexSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "VertexSet":
+        if not isinstance(doc.get("names"), list):
+            raise ValueError("a vertex set needs a 'names' list")
         names = tuple(str(n) for n in doc["names"])
-        pts = np.array([[float(v) for v in p] for p in doc.get("points", [])], dtype=float)
-        if pts.size == 0:
-            pts = np.zeros((0, len(names)))
+        try:
+            rows = [[float(v) for v in p] for p in doc.get("points", [])]
+        except TypeError as exc:
+            raise ValueError(f"points must be rows of {len(names)} coordinates: {exc}") from exc
+        pts = _point_rows(rows, names)
         obj = doc.get("objectives")
         meta = dict(doc.get("meta") or {})
         if doc.get("tau") is not None:

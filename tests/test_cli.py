@@ -531,6 +531,46 @@ class TestUsageErrors:
         assert code == 64
         assert err == f"aoskit: error: {message}\n"
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["constraints"][0].update(coeffs=[1.0, 1.0]),
+        lambda d: d["objective"].update(coeffs=[1.0]),
+        lambda d: d.update(metadata=[1]),
+    ], ids=["constraint-coeffs-list", "objective-coeffs-list", "metadata-list"])
+    def test_malformed_lp_document(self, run, tmp_path, edit):
+        with open(TRIANGLE_EXACT) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        self.assert_usage(run("solve", write_json(tmp_path, "lp.json", doc)))
+
+    @pytest.mark.parametrize("key", ["generators", "loads"])
+    def test_network_map_given_as_a_list(self, run, tmp_path, key):
+        with open(CANONICAL) as fh:
+            doc = json.load(fh)
+        doc[key] = [doc[key]]
+        code, _, err = run("solve", write_json(tmp_path, "net.json", doc))
+        assert code == 64
+        assert err == f"aoskit: error[schema]: '{key}' must be a JSON object keyed by bus id\n"
+
+    def test_rank_on_a_report_without_names(self, run, tmp_path):
+        report = write_json(tmp_path, "report.json",
+                            {"schema_version": "aos-report/1", "result": {"points": [[1.0, 2.0]]}})
+        sec = write_json(tmp_path, "sec.json", {"sense": "min", "scores": [1.0]})
+        self.assert_usage(run("rank", report, "--secondary", sec))
+
+    def test_output_into_a_missing_directory(self, run, tmp_path):
+        out_path = tmp_path / "missing" / "report.json"
+        code, out, err = run("solve", CANONICAL, "--output", out_path)
+        assert (code, out) == (64, "")
+        assert err == f"aoskit: error: cannot write {out_path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"sense": "min", "scores": [True, False, 2.0, 1.0, 0.5]},
+        {"sense": "max", "coeffs": {"P[1]": True}},
+    ], ids=["scores", "coeffs"])
+    def test_secondary_booleans_are_no_numbers(self, run, tmp_path, doc):
+        sec = write_json(tmp_path, "sec.json", doc)
+        self.assert_usage(run("rank", CANONICAL, "--gap", 0, "--secondary", sec))
+
     def test_usage_failure_leaves_no_partial_report(self, run, tmp_path):
         out_path = tmp_path / "never.json"
         bad = write_json(tmp_path, "odd.json", {"schema": "wat/9"})

@@ -1,9 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aoskit import SublevelSpec, enumerate_vertices
 from aoskit.sets import VertexSet, _PointIndex, dedup_and_sort
+
+from conftest import feasible_random_network
 
 
 def quadratic_dedup(points: np.ndarray, tol: float):
@@ -74,10 +79,27 @@ def check_dedup(points, tol, data):
     assert dedup_and_sort(points[perm], tol)[0].tolist() == kept.tolist()
 
 
+@functools.cache
+def opf_vertices(coordinates: str) -> np.ndarray:
+    """Real data with round capacities: the vertex set of conftest seed 1's
+    boxed DC-OPF (12 buses) at gap 0.05, or its generation coordinates."""
+    _, boxed, base = feasible_random_network(np.random.default_rng(1), 12)
+    points = enumerate_vertices(boxed, base.value, SublevelSpec(gap=0.05), start=base).points
+    if coordinates == "generation":
+        points = points[:, [i for i, v in enumerate(boxed.variables) if v.role == "generation"]]
+    return points
+
+
 @settings(max_examples=300, deadline=None)
 @given(clustered_points(), st.sampled_from([0.0, TOL, 2.5 * TOL, 0.5]), st.data())
 def test_dedup_matches_the_quadratic_rule(points, tol, data):
     check_dedup(points, tol, data)
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(["all", "generation"]), st.sampled_from([0.0, TOL, 2.5 * TOL, 0.5]), st.data())
+def test_dedup_matches_the_quadratic_rule_on_opf_vertices(coordinates, tol, data):
+    check_dedup(opf_vertices(coordinates), tol, data)
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,37 +119,64 @@ def test_noise_in_leading_coordinates_does_not_decide_the_order(drawn, tol, data
 # the near-point index against a scan of every stored point
 
 INDEX_TOL = 1e-6
-EDGE = 1024.0 * INDEX_TOL  # the index's cell width; cell edges lie at (k + 0.5) * EDGE
+CELL = 64.0 * INDEX_TOL  # the index's cell width: its cell edges cut weighted coordinate sums at k * CELL
+# coordinates at and around cell edges; the weights sum to 1, so a row whose
+# coordinates all equal one of these has its sum there too
 NEAR_EDGES = st.builds(
-    lambda k, off: (k + 0.5) * EDGE + off,
+    lambda k, off: k * CELL + off,
     st.integers(-3, 3),
-    st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.5, -2.5, 0.3 * 1024]).map(lambda f: f * INDEX_TOL),
+    st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.5, -2.5, 0.3 * 64]).map(lambda f: f * INDEX_TOL),
 )
-# at tol 0 the cells are 1 wide, with edges at k + 0.5
-UNIT_EDGES = st.builds(lambda k, off: k + 0.5 + off, st.integers(-3, 3), st.sampled_from([0.0, -0.0, 1e-6, -1e-6, 0.25]))
+# at tol 0 the cells are 1 wide, with edges at the integers
+UNIT_EDGES = st.builds(lambda k, off: k + off, st.integers(-3, 3), st.sampled_from([0.0, -0.0, 1e-6, -1e-6, 0.25]))
 
 
 @st.composite
 def index_rows(draw):
-    """(tol, batches): rows near cell edges, some a twin of an earlier row
-    within tol, cut into batches of one index call each."""
+    """(tol, batches): rows near cell edges, some with every coordinate on
+    one, some a twin of an earlier row within tol, cut into batches of one
+    index call each; last, one row stored alone, then found alone and among
+    all rows."""
     tol = draw(st.sampled_from([INDEX_TOL, 0.0]))
-    d = draw(st.integers(1, 4))
+    # rows wider than 8 are summed pairwise, which must not depend on the batch
+    d = draw(st.sampled_from([1, 2, 3, 4, 9, 40]))
     coords = NEAR_EDGES if tol else UNIT_EDGES
     rows = draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=1, max_size=30))
+    for v in draw(st.lists(coords, max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), [v] * d)
     for _ in range(draw(st.integers(0, 3))):
         twin = np.array(rows[draw(st.integers(0, len(rows) - 1))])
-        shift = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0]), min_size=d, max_size=d))
+        # a shift of tol on every coordinate moves the sum by the whole tol
+        shift = draw(st.one_of(
+            st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0]), min_size=d, max_size=d),
+            st.sampled_from([1.0, -1.0]).map(lambda s: [s] * d),
+        ))
         rows.insert(draw(st.integers(0, len(rows))), list(twin + np.array(shift) * tol))
     cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
     spans = zip([0] + cuts, cuts + [len(rows)])
     batches = [(np.array(rows[a:b], dtype=float).reshape(b - a, d), draw(st.sampled_from(["add", "find", "store"])))
                for a, b in spans]
+    last = np.array([rows[draw(st.integers(0, len(rows) - 1))]])
+    batches += [(last, "store"), (last, "find"), (np.asfortranarray(np.vstack([rows, last])), "find")]
     return tol, batches
+
+
+def edge_twins(d, k, shift, tol=INDEX_TOL):
+    """A row with every coordinate on the cell edge k * CELL, stored, and its
+    twin shifted by ``shift`` on every coordinate, found: the sums lie a
+    whole tol apart on either side of the edge, up to rounding."""
+    row = np.full((1, d), k * CELL)
+    return tol, [(row, "add"), (row + shift, "find")]
 
 
 @settings(max_examples=300, deadline=None)
 @given(index_rows())
+# twins whose rounded sums lie just over tol apart across an edge
+@example(edge_twins(2, -3, -INDEX_TOL))
+@example(edge_twins(40, 1, -INDEX_TOL))
+# at tol 0, a wide row stored alone and found in a Fortran-ordered batch,
+# whose row sums come out otherwise unless the product is made C-ordered
+@example((0.0, [(np.full((1, 40), 3.0), "store"), (np.asfortranarray([[0.0] * 40, [3.0] * 40]), "find")]))
 def test_point_index_finds_exactly_the_points_within_tol(drawn):
     tol, batches = drawn
     index = _PointIndex(tol)
@@ -219,3 +268,19 @@ def test_containment_rejects_a_dimension_mismatch():
     ):
         with pytest.raises(ValueError, match="point dimensions differ"):
             check()
+
+
+def test_points_must_be_as_wide_as_the_names():
+    for build in (
+        lambda: VertexSet.from_json_dict({"names": ["x", "y"], "points": [[1.0]]}),
+        lambda: VertexSet.from_points([[1.0]], ("x", "y")),
+    ):
+        with pytest.raises(ValueError, match="points are 1 wide, but there are 2 names"):
+            build()
+    with pytest.raises(ValueError, match=r"points must be rows of 2 coordinates, got shape \(2,\)"):
+        VertexSet.from_points([1.0, 2.0], ("x", "y"))
+    for points in ([1.0, 2.0], [[1.0, None]]):
+        with pytest.raises(ValueError, match="points must be rows of 2 coordinates"):
+            VertexSet.from_json_dict({"names": ["x", "y"], "points": points})
+    with pytest.raises(ValueError, match="a vertex set needs a 'names' list"):
+        VertexSet.from_json_dict({"points": [[1.0]]})

@@ -13,7 +13,7 @@ import numpy as np
 
 from .model import Constraint, LpModel, Objective, Variable
 from .projection import ProjectionSpec, project_set
-from .sets import VertexSet, order_keys
+from .sets import DEDUP_TOL, VertexSet, order_keys
 from .simplex import INFEASIBLE, OPTIMAL, solve_model
 from .sublevel import SublevelSpec, make_sublevel_model
 from .vertices import NumericFailureError
@@ -77,8 +77,7 @@ def check_containment(
     relaxed_model: LpModel,
     z_star: float,
     spec: SublevelSpec,
-    tol: float = CONTAINMENT_TOL,
-    dedup_tol: float = 1e-6,
+    dedup_tol: float = DEDUP_TOL,
     label: str | None = None,
 ) -> ContainmentReport:
     """Test that the projected points all satisfy the relaxed sublevel model.
@@ -107,17 +106,17 @@ def check_containment(
     pair = PairResult(
         label=label or f"->{relaxed_model.metadata.get('model_family', 'relaxed')}",
         tau=tau,
-        tolerance=tol,
+        tolerance=CONTAINMENT_TOL,
         names=projected.names,
         points=projected.points,
         violations=violations,
         worst_constraints=worst,
-        passed=all(v <= tol for v in violations),
+        passed=all(v <= CONTAINMENT_TOL for v in violations),
     )
     return ContainmentReport([pair])
 
 
-def is_in_convex_hull(q, generators, feas_tol: float = 1e-7) -> bool:
+def is_in_convex_hull(q, generators) -> bool:
     """Whether q is a convex combination of the generator points.
 
     Solves the membership LP (weights in the simplex reproducing q) with
@@ -246,7 +245,7 @@ def rank_by_scores(vs: VertexSet, scores, sense: str = "max") -> RankedAlternati
     return _ranked(vs, values, sense, "scores")
 
 
-def compare_projected_sets(a: VertexSet, b: VertexSet, dedup_tol: float = 1e-6) -> str:
+def compare_projected_sets(a: VertexSet, b: VertexSet, dedup_tol: float = DEDUP_TOL) -> str:
     """Set relation between two point sets under tolerance.
 
     Returns one of "equal", "a_subset_of_b", "b_subset_of_a",

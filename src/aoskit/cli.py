@@ -45,7 +45,7 @@ from .power import (
 )
 from .projection import ProjectionSpec, project_set, role_projection
 from .reporting import REPORT_SCHEMA, make_report, write_report
-from .sets import VertexSet
+from .sets import DEDUP_TOL, VertexSet
 from .simplex import INFEASIBLE, NUMERIC_FAILURE, OPTIMAL, UNBOUNDED, solve_model
 from .sublevel import SublevelSpec, _provably_empty, apply_box_bounds
 from .vertices import (
@@ -84,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
 # gets the whole table, so a flag it lacks still reads its default.
 _DEFAULTS = {
     "model": None, "gap": None, "tau": None, "box_bound": 1e4, "limit": 10_000,
-    "dedup_tol": 1e-6, "seed": None, "project": None, "secondary": None,
+    "dedup_tol": DEDUP_TOL, "seed": None, "project": None, "secondary": None,
 }
 # The report's config block. The output path is left out: the report must
 # not depend on where it is written.

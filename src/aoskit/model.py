@@ -189,19 +189,23 @@ class LpModel:
         return labels
 
     def violations(self, x: np.ndarray) -> np.ndarray:
-        """Nonnegative violation of every constraint and finite bound at x.
+        """Nonnegative violation of every constraint and finite bound at x,
+        a point or a stack of points with one point per row.
 
-        Order matches :meth:`constraint_labels`. Equalities contribute the
-        absolute residual, inequalities the one-sided excess.
+        Order matches :meth:`constraint_labels`, along the last axis.
+        Equalities contribute the absolute residual, inequalities the
+        one-sided excess.
         """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_variables,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n_variables:
             raise ValueError(f"point has dimension {x.shape}, model has {self.n_variables}")
         k = self._checks
-        rows = k["sign"] * (k["rows"] @ x - k["rhs"])
-        rows[k["eq"]] = np.abs(rows[k["eq"]])
-        bounds = k["bound_sign"] * (x[k["bound_col"]] - k["bound"])
-        return np.maximum(np.concatenate([rows, bounds]), 0.0)
+        # one point takes a matrix-vector product, a stack a matrix product;
+        # their sums may differ in the last bits
+        rows = k["sign"] * (x @ k["rows"].T - k["rhs"])
+        np.abs(rows, out=rows, where=k["eq"])
+        bounds = k["bound_sign"] * (x.take(k["bound_col"], axis=-1) - k["bound"])
+        return np.maximum(np.concatenate([rows, bounds], axis=-1), 0.0)
 
     @cached_property
     def _checks(self) -> dict:

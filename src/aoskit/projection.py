@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ROLES, LpModel
-from .sets import VertexSet
+from .sets import DEDUP_TOL, VertexSet
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def project_point(
     return p[list(idx)].copy()
 
 
-def project_set(vs: VertexSet, spec: ProjectionSpec, dedup_tol: float = 1e-6) -> VertexSet:
+def project_set(vs: VertexSet, spec: ProjectionSpec, dedup_tol: float = DEDUP_TOL) -> VertexSet:
     """Project every point of ``vs`` pointwise, collapse duplicates, re-sort."""
     idx, labels = spec.resolve(vs.names)
     pts = vs.points[:, list(idx)] if len(vs) else np.zeros((0, len(idx)))

@@ -11,6 +11,9 @@ import numpy as np
 # largest of them: far coarser than rounding noise and than the 12
 # significant digits of a report, far finer than any dedup tolerance in use
 _ORDER_GRID = 1e-9
+# two points within this max-coordinate distance are one, unless a caller
+# asks for another distance
+DEDUP_TOL = 1e-6
 
 
 def order_keys(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -147,7 +150,7 @@ class VertexSet:
         names: tuple[str, ...],
         objectives=None,
         complete: bool = True,
-        dedup_tol: float = 1e-6,
+        dedup_tol: float = DEDUP_TOL,
         meta: dict | None = None,
     ) -> "VertexSet":
         names = tuple(names)
@@ -171,7 +174,7 @@ class VertexSet:
     def __iter__(self):
         return iter(self.points)
 
-    def contains_point(self, q, tol: float = 1e-6) -> bool:
+    def contains_point(self, q, tol: float = DEDUP_TOL) -> bool:
         """Whether some listed point matches q within max-coordinate tol."""
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dimension,):
@@ -180,7 +183,7 @@ class VertexSet:
         index.add(self.points)
         return index.find(q[None])[0] >= 0
 
-    def is_subset_of(self, other: "VertexSet", tol: float = 1e-6) -> bool:
+    def is_subset_of(self, other: "VertexSet", tol: float = DEDUP_TOL) -> bool:
         """Whether every point matches one of other's within max-coordinate tol."""
         if self.dimension != other.dimension:
             raise ValueError(f"point dimensions differ: {self.dimension} vs {other.dimension}")
@@ -189,7 +192,7 @@ class VertexSet:
         index.add(other.points)
         return -1 not in index.find(self.points)
 
-    def same_points(self, other: "VertexSet", tol: float = 1e-6) -> bool:
+    def same_points(self, other: "VertexSet", tol: float = DEDUP_TOL) -> bool:
         return self.is_subset_of(other, tol) and other.is_subset_of(self, tol)
 
     def to_json_dict(self) -> dict:
@@ -220,6 +223,13 @@ class VertexSet:
             raise ValueError(f"points must be rows of {len(names)} coordinates: {exc}") from exc
         pts = _point_rows(rows, names)
         obj = doc.get("objectives")
+        if obj is not None:
+            try:
+                obj = np.array([float(v) for v in obj])
+            except TypeError as exc:
+                raise ValueError(f"objectives must be null or a list of numbers: {exc}") from exc
+            if len(obj) != len(pts):
+                raise ValueError(f"{len(obj)} objectives for {len(pts)} points")
         meta = dict(doc.get("meta") or {})
         if doc.get("tau") is not None:
             meta["tau"] = float(doc["tau"])
@@ -228,7 +238,7 @@ class VertexSet:
         return cls(
             points=pts,
             names=names,
-            objectives=None if obj is None else np.asarray(obj, dtype=float),
+            objectives=obj,
             complete=bool(doc.get("complete", True)),
             meta=meta,
         )

@@ -14,6 +14,9 @@ import numpy as np
 
 from .model import LpModel
 
+# a first equality row with no entry above this, relative to its scale, is null
+_NULL_ROW = 1e-9
+
 
 @dataclass
 class StandardForm:
@@ -108,15 +111,13 @@ def to_standard_form(model: LpModel) -> StandardForm:
     )
 
 
-def drop_redundant_equalities(
-    sf: StandardForm, tol: float = 1e-9
-) -> tuple[StandardForm, list[int], bool]:
+def drop_redundant_equalities(sf: StandardForm) -> tuple[StandardForm, list[int], bool]:
     """Remove equality rows that are linear combinations of earlier rows.
 
     Rows that carry a slack column are trivially independent, so only pure
     equality rows are tested: a row is dependent when its residual against
     the span of the equality rows kept so far is within 1e-7 of its scale
-    (the first kept row only needs an entry above ``tol``). One incremental
+    (the first kept row only needs an entry above 1e-9 of it). One incremental
     pass keeps an orthonormal basis of that span, grown by Gram-Schmidt
     (projected twice, for orthogonality), with each basis row's right-hand
     side carried along. Returns (reduced form, dropped row indices,
@@ -139,7 +140,7 @@ def drop_redundant_equalities(
         resid, resid_b = sf.A[i, : sf.n_original], float(sf.b[i])
         scale = max(1.0, float(np.abs(resid).max()), abs(resid_b))
         if not k:
-            dependent = not np.any(np.abs(resid) > tol * scale)
+            dependent = not np.any(np.abs(resid) > _NULL_ROW * scale)
         else:
             for _ in range(2):
                 proj = q[:k] @ resid

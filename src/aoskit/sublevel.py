@@ -73,8 +73,7 @@ def add_level_cut(model: LpModel, tau: float) -> LpModel:
         raise ValueError("model has an empty objective; a level cut would be vacuous")
     sense = "<=" if model.objective.sense == "min" else ">="
     cut = Constraint(coeffs=dict(model.objective.coeffs), sense=sense, rhs=tau - model.objective.constant)
-    note = {"sublevel_tau": tau, "sublevel_row": len(model.constraints)}
-    return model.with_constraint(cut, note=note)
+    return model.with_constraint(cut, note={"sublevel_tau": tau})
 
 
 def apply_box_bounds(model: LpModel, box: float) -> LpModel:

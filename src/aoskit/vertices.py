@@ -26,9 +26,10 @@ Two independent routes to the same answer:
   (Ziegler, *Lectures on Polytopes*, ch. 3; Murty 1968). At tau = z*
   every vertex lies on the level, and all of them are expanded.
 * :func:`brute_force_vertices` intersects every n-subset of constraint,
-  bound, and level-cut hyperplanes and keeps the feasible solutions. It is
-  slower but has no pivoting logic to get wrong, so it serves as the
-  oracle for the first route.
+  bound, and level-cut hyperplanes and keeps the solutions that the
+  sublevel model's own violation kernel (:meth:`LpModel.violations`) finds
+  feasible. It is slower but has no pivoting logic to get wrong, so it
+  serves as the oracle for the first route.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from collections import deque
 import numpy as np
 
 from .model import LpModel
-from .sets import UniquenessCertificate, VertexSet, _PointIndex
+from .sets import DEDUP_TOL, UniquenessCertificate, VertexSet, _PointIndex
 from .simplex import (
     INFEASIBLE,
     NUMERIC_FAILURE,
@@ -381,12 +382,21 @@ def _start_basis(full: StandardForm, start: SimplexResult):
     return sf, list(start.basis) + [slack], st
 
 
+def _vertex_set(model: LpModel, pts, meta: dict, complete: bool = True, dedup_tol: float = DEDUP_TOL) -> VertexSet:
+    """Both enumerators' answer: ``pts``, points of ``model``, each valued by its objective."""
+    pts = np.reshape(pts, (-1, model.n_variables))
+    objectives = pts @ model.objective_vector() + model.objective.constant
+    return VertexSet.from_points(
+        pts, model.variable_names, objectives=objectives, complete=complete, dedup_tol=dedup_tol, meta=meta
+    )
+
+
 def enumerate_vertices(
     model: LpModel,
     z_star: float,
     spec: SublevelSpec,
     limit: int = 10_000,
-    dedup_tol: float = 1e-6,
+    dedup_tol: float = DEDUP_TOL,
     order_rng: np.random.Generator | None = None,
     max_bases: int = 500_000,
     start: SimplexResult | None = None,
@@ -432,7 +442,7 @@ def enumerate_vertices(
 
     def empty(reason: str) -> VertexSet:
         meta["empty_reason"] = reason
-        return VertexSet.from_points(np.zeros((0, model.n_variables)), model.variable_names, objectives=[], meta=meta)
+        return _vertex_set(model, [], meta)
 
     full = _sublevel_form(sub, start)
     if full is None:
@@ -464,21 +474,11 @@ def enumerate_vertices(
     meta["rejected"] = walk.rejected
     if truncated:
         meta["truncated"] = truncated
-    pts = np.array([sf.recover(x) for x, _, _ in found])
-    c = model.objective_vector()
-    objectives = pts @ c + model.objective.constant if len(pts) else []
-    return VertexSet.from_points(
-        pts,
-        model.variable_names,
-        objectives=objectives,
-        complete=truncated is None,
-        dedup_tol=dedup_tol,
-        meta=meta,
-    )
+    return _vertex_set(model, [sf.recover(x) for x, _, _ in found], meta, truncated is None, dedup_tol)
 
 
 def is_unique_minimizer(
-    model: LpModel, z_star: float, spec: SublevelSpec, dedup_tol: float = 1e-6
+    model: LpModel, z_star: float, spec: SublevelSpec, dedup_tol: float = DEDUP_TOL
 ) -> UniquenessCertificate:
     """Certify whether the sublevel set holds exactly one point.
 
@@ -515,10 +515,11 @@ def brute_force_vertices(
     z_star: float,
     spec: SublevelSpec,
     feas_tol: float = 1e-7,
-    dedup_tol: float = 1e-6,
+    dedup_tol: float = DEDUP_TOL,
     max_combos: int = 10_000_000,
 ) -> VertexSet:
-    """Oracle enumeration: intersect hyperplane subsets, filter by feasibility.
+    """Oracle enumeration: intersect hyperplane subsets, keep the points that
+    violate no constraint or bound of the sublevel model by more than ``feas_tol``.
 
     Every equality constraint is mandatory; the remaining degrees of freedom
     are filled by choosing among inequality boundaries, finite bound planes,
@@ -533,9 +534,7 @@ def brute_force_vertices(
 
     def empty(reason: str) -> VertexSet:
         meta["empty_reason"] = reason
-        return VertexSet.from_points(
-            np.zeros((0, n)), sub.variable_names, objectives=[], meta=meta
-        )
+        return _vertex_set(model, [], meta)
 
     if _provably_empty(z_star, tau, sub.objective.sense):
         return empty("sublevel model infeasible (tau below the optimal value)")
@@ -612,34 +611,6 @@ def brute_force_vertices(
     E_arr = np.array(E) if E else np.zeros((0, n))
     d_arr = np.array(d) if d else np.zeros(0)
 
-    # feasibility machinery over the full sublevel model
-    G_rows, G_rhs = [], []
-    for i in range(rows.shape[0]):
-        if senses[i] == "<=":
-            G_rows.append(rows[i])
-            G_rhs.append(rhs[i])
-        elif senses[i] == ">=":
-            G_rows.append(-rows[i])
-            G_rhs.append(-rhs[i])
-    G = np.array(G_rows) if G_rows else np.zeros((0, n))
-    h = np.array(G_rhs) if G_rhs else np.zeros(0)
-    Eq_all = np.array(eq_rows) if eq_rows else np.zeros((0, n))
-    dq_all = np.array(eq_rhs) if eq_rhs else np.zeros(0)
-
-    def feasible_mask(X: np.ndarray) -> np.ndarray:
-        viol = np.zeros(X.shape[0])
-        if G.shape[0]:
-            viol = np.maximum(viol, (X @ G.T - h).max(axis=1))
-        if Eq_all.shape[0]:
-            viol = np.maximum(viol, np.abs(X @ Eq_all.T - dq_all).max(axis=1))
-        lo_f = np.isfinite(lower)
-        up_f = np.isfinite(upper)
-        if lo_f.any():
-            viol = np.maximum(viol, (lower[lo_f] - X[:, lo_f]).max(axis=1))
-        if up_f.any():
-            viol = np.maximum(viol, (X[:, up_f] - upper[up_f]).max(axis=1))
-        return viol <= feas_tol
-
     found: list[np.ndarray] = []
     chunk_size = 20_000
     combo_iter = itertools.combinations(range(len(pool)), k)
@@ -661,22 +632,10 @@ def brute_force_vertices(
             X = np.linalg.solve(Mg, Rg[:, :, None])[:, :, 0]
             residual = Rg - np.einsum("bij,bj->bi", Mg, X)
             X += np.linalg.solve(Mg, residual[:, :, None])[:, :, 0]
-            keep = feasible_mask(X)
-            found.extend(X[keep])
+            found.extend(X[(sub.violations(X) <= feas_tol).all(axis=1)])
         band = np.nonzero((dets > 1e-14) & ~good)[0]
         for bi in band:
             x, *_ = np.linalg.lstsq(M[bi], R[bi], rcond=None)
-            if np.abs(M[bi] @ x - R[bi]).max() <= 1e-9 and feasible_mask(x[None, :])[0]:
+            if np.abs(M[bi] @ x - R[bi]).max() <= 1e-9 and sub.is_feasible(x, feas_tol):
                 found.append(x)
-
-    pts = np.array(found) if found else np.zeros((0, n))
-    c = sub.objective_vector()
-    objectives = pts @ c + sub.objective.constant if len(pts) else []
-    return VertexSet.from_points(
-        pts,
-        sub.variable_names,
-        objectives=objectives,
-        complete=True,
-        dedup_tol=dedup_tol,
-        meta=meta,
-    )
+    return _vertex_set(model, found, meta, dedup_tol=dedup_tol)

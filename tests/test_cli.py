@@ -557,6 +557,13 @@ class TestUsageErrors:
         sec = write_json(tmp_path, "sec.json", {"sense": "min", "scores": [1.0]})
         self.assert_usage(run("rank", report, "--secondary", sec))
 
+    @pytest.mark.parametrize("objectives", [[5000.0], [None, 1.0]], ids=["one-for-two-points", "null-entry"])
+    def test_rank_on_a_report_whose_objectives_do_not_fit_its_points(self, run, tmp_path, objectives):
+        result = {"names": ["a", "b"], "points": [[1.0, 2.0], [3.0, 4.0]], "objectives": objectives}
+        report = write_json(tmp_path, "report.json", {"schema_version": "aos-report/1", "result": result})
+        sec = write_json(tmp_path, "sec.json", {"sense": "min", "scores": [1.0, 2.0]})
+        self.assert_usage(run("rank", report, "--secondary", sec))
+
     def test_output_into_a_missing_directory(self, run, tmp_path):
         out_path = tmp_path / "missing" / "report.json"
         code, out, err = run("solve", CANONICAL, "--output", out_path)

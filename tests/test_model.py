@@ -123,6 +123,11 @@ class TestFeasibility:
         assert not m.is_feasible(x + np.array([0.0, 1e-3, 0.0]))
         assert m.is_feasible(x + np.array([0.0, 1e-9, 0.0]))
 
+    @pytest.mark.parametrize("shape", [(2,), (4, 2), (1, 3, 3)])
+    def test_points_must_fit_the_model(self, shape):
+        with pytest.raises(ValueError, match="model has 3"):
+            small_model().violations(np.zeros(shape))
+
     def test_equality_violation_is_absolute(self):
         m = small_model()
         assert m.max_violation(np.array([1.0, 1.0, 2.0])) == pytest.approx(1.0)
@@ -153,13 +158,16 @@ def test_violations_match_the_loop_reference(seed):
                               upper=math.inf if k % 2 == 0 else v.upper)
                      for k, v in enumerate(m.variables)], m.constraints, m.objective)
     lower, upper = m.bounds_arrays()
-    for _ in range(3):
-        x = rng.uniform(np.where(np.isfinite(lower), lower, -20) - 2, np.where(np.isfinite(upper), upper, 20) + 2)
-        got = m.violations(x)
-        assert len(got) == len(m.constraint_labels())
-        # the stacked product sums in another order than the loop: with at
-        # most 5 terms of |coefficient| <= 3 that moves a row by a few ulps
-        np.testing.assert_allclose(got, loop_violations(m, x), rtol=0, atol=1e-12 * max(1.0, np.abs(x).max()))
+    X = rng.uniform(np.where(np.isfinite(lower), lower, -20) - 2, np.where(np.isfinite(upper), upper, 20) + 2,
+                    size=(3, m.n_variables))
+    stacked = m.violations(X)
+    assert stacked.shape == (3, len(m.constraint_labels()))
+    for x, row in zip(X, stacked):
+        # the products sum in another order than the loop: with at most 5
+        # terms of |coefficient| <= 3 that moves a row by a few ulps
+        atol = 1e-12 * max(1.0, np.abs(x).max())
+        np.testing.assert_allclose(m.violations(x), loop_violations(m, x), rtol=0, atol=atol)
+        np.testing.assert_allclose(row, loop_violations(m, x), rtol=0, atol=atol)
         assert m.evaluate_objective(x) == pytest.approx(
             sum(c * x[m.variable_index(n)] for n, c in m.objective.coeffs.items()) + m.objective.constant,
             rel=1e-12, abs=1e-12,

@@ -1,7 +1,10 @@
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import logging
+import pkgutil
 from importlib import resources
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import aoskit
 from aoskit import vertices
 from aoskit import (
     Constraint,
@@ -81,6 +85,100 @@ class TestBruteForceOracle:
         m = unit_square()
         vs = brute_force_vertices(m, 0.0, SublevelSpec(tau=1.0))
         assert vs.objectives.tolist() == [0.0, 1.0, 1.0]
+
+    def test_an_unsatisfiable_zero_row_gives_the_empty_set(self):
+        m = LpModel([Variable("x", 0.0, 1.0)], [Constraint({"x": 0.0}, "<=", -1.0)], Objective("min", {"x": 1.0}))
+        vs = brute_force_vertices(m, 0.0, SublevelSpec(tau=1.0))
+        assert len(vs) == 0 and vs.complete
+        assert vs.meta["empty_reason"] == "constraint c[0] is unsatisfiable"
+
+    def test_conflicting_dependent_equalities_give_the_empty_set(self):
+        m = LpModel(
+            [Variable("x", 0.0, 1.0), Variable("y", 0.0, 1.0)],
+            [Constraint({"x": 1.0, "y": 1.0}, "=", 1.0), Constraint({"x": 2.0, "y": 2.0}, "=", 3.0)],
+            Objective("min", {"x": 1.0}),
+        )
+        vs = brute_force_vertices(m, 0.0, SublevelSpec(tau=1.0))
+        assert len(vs) == 0 and vs.complete
+        assert vs.meta["empty_reason"] == "conflicting dependent equality rows"
+
+    def test_fewer_hyperplanes_than_dimensions_raises_with_hint(self):
+        m = LpModel([Variable("x"), Variable("y")], [], Objective("min", {"x": 1.0, "y": 1.0}))
+        with pytest.raises(UnboundedRegionError, match="fewer active hyperplanes than dimensions.*apply_box_bounds"):
+            brute_force_vertices(m, 0.0, SublevelSpec(tau=1.0))
+
+    def test_a_near_singular_subset_is_solved_by_least_squares(self, monkeypatch):
+        # the level cut x >= 1 and the nearly parallel row x + 1e-11 y <= 1 + 1e-11
+        # meet in a subset whose determinant, 1e-11, is too small for the
+        # batched solve but not for lstsq
+        m = LpModel(
+            [Variable("x", 0.0, 1.0), Variable("y", 0.0, 2.0)],
+            [Constraint({"x": 1.0, "y": 1e-11}, "<=", 1.0 + 1e-11)],
+            Objective("min", {"x": -1.0}),
+        )
+        z = solve_model(m).value
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+        bf = brute_force_vertices(m, z, GAP0)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        walk = enumerate_vertices(m, z, GAP0)
+        assert bf.complete and walk.complete
+        assert bf.same_points(walk, 1e-6) and len(bf) == len(walk) == 2
+
+
+# the pivoting code the oracle is there to check, so must never call
+PIVOTING = {
+    "basic_point", "ratio_test", "leaving_row", "solve_standard", "solve_from", "to_standard_form",
+    "drop_redundant_equalities", "_Walk", "_far_ends",
+}
+
+
+def package_functions() -> dict[str, list]:
+    """Every function of the package by name, methods and properties included."""
+    found = {}
+    for info in pkgutil.iter_modules(aoskit.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"aoskit.{info.name}")
+        for name, obj in vars(module).items():
+            members = vars(obj).items() if inspect.isclass(obj) and obj.__module__ == module.__name__ else ()
+            for attr, member in [(name, obj), *members]:
+                for fn in (member, getattr(member, "__func__", None), getattr(member, "fget", None),
+                           getattr(member, "func", None)):
+                    if inspect.isfunction(fn) and fn.__module__.startswith("aoskit"):
+                        found.setdefault(attr, []).append(fn)
+    return found
+
+
+def names_reached(fn) -> set[str]:
+    """The global and attribute names that ``fn``, its nested functions and,
+    transitively, every package function of one of those names refer to.
+    A name shared by several functions follows all of them."""
+    functions = package_functions()
+    names, seen, codes = set(), set(), [fn.__code__]
+    while codes:
+        code = codes.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        codes += [c for c in code.co_consts if inspect.iscode(c)]
+        for name in code.co_names:
+            names.add(name)
+            codes += [f.__code__ for f in functions.get(name, ())]
+    return names
+
+
+class TestOracleIndependence:
+    def test_the_oracle_reaches_no_pivoting_code(self):
+        reached = names_reached(brute_force_vertices)
+        assert "violations" in reached  # the model's own violation kernel
+        assert not reached & PIVOTING
+
+    def test_the_walk_reaches_the_pivoting_code(self):
+        # the check above would pass vacuously if the walker missed calls
+        assert names_reached(enumerate_vertices) >= PIVOTING - {"solve_from"}
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,8 @@ class LpModel:
 
     @cached_property
     def _checks(self) -> dict:
-        """The arrays behind :meth:`violations` and :meth:`evaluate_objective`,
+        """The arrays behind :meth:`violations`, :meth:`evaluate_objective`
+        and the oracle's hyperplanes (those of :meth:`constraint_matrix`),
         built once: the model is immutable. A row's violation is its sign
         times (lhs - rhs), +1 for "<=" and -1 for ">=" (absolute for "=");
         a finite bound's is its sign times (x[col] - bound), -1 for a lower
@@ -225,6 +226,7 @@ class LpModel:
         return {
             "rows": rows,
             "rhs": rhs,
+            "senses": senses,
             "sign": np.array([-1.0 if s == ">=" else 1.0 for s in senses]),
             "eq": np.array([s == "=" for s in senses], dtype=bool),
             "bound_col": np.array(bound_col, dtype=int),

@@ -47,13 +47,19 @@ class StandardForm:
         """Original objective value from the minimized standard value c.x."""
         return self.sense_sign * v_min + self.obj_constant
 
-    def max_violation(self, x_std: np.ndarray) -> float:
+    def violations(self, x_std: np.ndarray) -> np.ndarray:
+        """|A x - b| per row, then max(lower - x, x - upper) per column, at a
+        point or, along the last axis, at a stack with one point per row."""
         x = np.asarray(x_std, dtype=float)
-        resid = np.abs(self.A @ x - self.b) if self.m else np.zeros(0)
-        below = self.lower - x
-        above = x - self.upper
-        parts = [p for p in (resid, below, above) if p.size]
-        return float(np.max([p.max() for p in parts])) if parts else 0.0
+        # one point takes a matrix-vector product, a stack a matrix product;
+        # their sums may differ in the last bits
+        resid = np.abs(self.A @ x - self.b) if x.ndim == 1 else np.abs(x @ self.A.T - self.b)
+        return np.concatenate([resid, np.maximum(self.lower - x, x - self.upper)], axis=-1)
+
+    def max_violation(self, x_std: np.ndarray) -> float | np.ndarray:
+        """The largest of :meth:`violations`: a float, or one per point of a stack."""
+        v = self.violations(x_std).max(axis=-1)
+        return float(v) if v.ndim == 0 else v
 
 
 def to_standard_form(model: LpModel) -> StandardForm:

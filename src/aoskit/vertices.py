@@ -10,10 +10,15 @@ Two independent routes to the same answer:
   vertices of a cross-section of the cone, walked the same way one
   dimension down. (Avis & Fukuda 1992, "A pivoting algorithm for convex
   hulls and vertex enumeration of arrangements and polyhedra", likewise
-  enumerate vertices rather than bases.) Its basic-point solve, ratio test
-  and leaving-row rule are the simplex's own
-  (:func:`~aoskit.simplex.basic_point`, :func:`~aoskit.simplex.ratio_test`,
-  :func:`~aoskit.simplex.leaving_row`).
+  enumerate vertices rather than bases.) Its ratio test and leaving-row
+  rule are the simplex's own (:func:`~aoskit.simplex.ratio_test`,
+  :func:`~aoskit.simplex.leaving_row`). A far end's point is not solved
+  for: it is the vertex stepped along the edge, x + t d, with d from the
+  same solve that gives the rates and t from the ratio test, and all far
+  ends of a vertex are checked in one pass. The simplex's basic-point
+  solve (:func:`~aoskit.simplex.basic_point`) gives the start vertex, the
+  start of a cone cross-section, and any far end whose residual shows it
+  cannot be trusted.
 
   Above the optimum (a level tau > z*) the walk expands only the vertices
   strictly below the level. Every vertex of the sublevel polytope is still
@@ -65,6 +70,11 @@ _BOX_HINT = "the region is unbounded; call apply_box_bounds on the model first"
 # rests on it; rounding noise on the benchmark networks and random LPs stayed
 # below it, and the nearest points off a bound lay ten times further out
 _AT_BOUND = 1e-9
+# a far end's point y, stepped along its edge, is trusted while each row's
+# |A y - b| stays within this share of the row's scale, |b| + max|y| times
+# the sum of the row's |A|; the largest share on conftest seeds 9 and 31
+# (30 buses) was 2e-15
+_RESIDUAL = 1e-9
 # distance at which two points of a tangent cone's cross-section, whose
 # coordinates sum to 1, are one vertex
 _CONE_TOL = 1e-9
@@ -105,23 +115,32 @@ def _crash_free_columns(sf: StandardForm, basis: list[int], st: np.ndarray):
     for j in np.flatnonzero(st == "F").tolist():
         x = basic_point(sf.A, sf.b, sf.lower, sf.upper, basis, st)
         w = np.linalg.solve(sf.A[:, basis], sf.A[:, j]) if basis else np.zeros(0)
-        [(basis, st)] = _far_ends(sf, basis, st, x[basis], [j], [1.0], -w[:, None])
+        [(basis, st)], _ = _far_ends(sf, basis, st, x, [j], np.ones(1), -w[:, None])
     return sorted(basis), st
 
 
-def _far_ends(sf: StandardForm, basis: list[int], st: np.ndarray, xb, cols, sign, rate):
-    """(basis, statuses) at the far end of each move from (basis, st): column
-    ``cols[k]`` leaves its bound in the direction ``sign[k]``.
+def _far_ends(sf: StandardForm, basis: list[int], st: np.ndarray, x: np.ndarray, cols, sign, rate):
+    """(basis, statuses) at the far end of each move from the point x of
+    (basis, st), where column ``cols[k]`` leaves its bound in the direction
+    ``sign[k]``; and the far ends' points, one row each.
 
-    ``xb`` holds the basic variables' values and ``rate[:, k]`` their rates
-    along move k; its magnitudes are those of B^-1 A_j, which the leaving-row
-    rule compares. All ratio tests run at once. An unblocked move is a bound
-    flip, or a feasible ray when the column's other bound is infinite too;
-    a blocked one pivots the column in for the basic variable that
+    ``rate[:, k]`` holds the basic variables' rates along move k; its
+    magnitudes are those of B^-1 A_j, which the leaving-row rule compares.
+    All ratio tests run at once. An unblocked move is a bound flip, or a
+    feasible ray when the column's other bound is infinite too; a blocked
+    one pivots the column in for the basic variable that
     :func:`~aoskit.simplex.leaving_row` picks, which leaves at the bound its
     rate runs into.
+
+    Move k steps t = min(its ratio, the column's own range) along its edge:
+    the basic variables move by t * rate[:, k] and the column by sign[k] * t,
+    and the column that turns nonbasic lands exactly on the bound its new
+    status names. The other nonbasic coordinates keep x's values, which lie
+    exactly on their bounds. So at a far end y, A y - b = B (y_B - the new
+    basis's basic point), and a small residual ties y to the point
+    :func:`~aoskit.simplex.basic_point` would solve for.
     """
-    ratios, t_basic = ratio_test(sf.lower[basis], sf.upper[basis], xb, rate)
+    ratios, t_basic = ratio_test(sf.lower[basis], sf.upper[basis], x[basis], rate)
     own_range = sf.upper[cols] - sf.lower[cols]
     ray = ~np.isfinite(t_basic) & ~np.isfinite(own_range)
     if ray.any():
@@ -129,6 +148,11 @@ def _far_ends(sf: StandardForm, basis: list[int], st: np.ndarray, xb, cols, sign
         raise UnboundedRegionError(f"feasible ray through column {sf.col_names[j]!r}; " + _BOX_HINT)
     flip = own_range <= t_basic
     leave = None if flip.all() else leaving_row(ratios, t_basic, rate)
+    t = np.where(flip, own_range, t_basic)
+    moves = np.arange(len(cols))
+    Y = np.repeat(x[None, :], len(cols), axis=0)
+    Y[:, basis] += (rate * t).T
+    Y[moves, cols] = np.where(flip, np.where(sign > 0, sf.upper[cols], sf.lower[cols]), x[cols] + sign * t)
     out = []
     for k, j in enumerate(cols):
         new_st = st.copy()
@@ -137,10 +161,20 @@ def _far_ends(sf: StandardForm, basis: list[int], st: np.ndarray, xb, cols, sign
             out.append((basis, new_st))
         else:
             r = int(leave[k])
-            new_st[j] = "B"
-            new_st[basis[r]] = "U" if rate[r, k] > 0 else "L"
+            i, up = basis[r], rate[r, k] > 0
+            new_st[j], new_st[i] = "B", "U" if up else "L"
+            Y[k, i] = sf.upper[i] if up else sf.lower[i]
             out.append((sorted(basis[:r] + basis[r + 1 :] + [j]), new_st))
-    return out
+    return out, Y
+
+
+def _snap(sf: StandardForm, x: np.ndarray) -> np.ndarray:
+    """x, a point or a stack of points, with every coordinate within
+    ``_AT_BOUND`` of a finite bound moved onto it."""
+    lb, ub = sf.lower, sf.upper
+    at_lower = np.isfinite(lb) & (x - lb <= _AT_BOUND * (1.0 + np.abs(lb)))
+    at_upper = np.isfinite(ub) & (ub - x <= _AT_BOUND * (1.0 + np.abs(ub)))
+    return np.where(at_upper, ub, np.where(at_lower, lb, x))
 
 
 class _Walk:
@@ -152,11 +186,14 @@ class _Walk:
         self.bases = 0  # bases whose edges were computed, cone walks included
         self.rejected = 0  # bases dropped: singular, or their point infeasible
         self.on_level = 0  # distinct vertices landed on the level, never expanded
+        self.cold_points = 0  # far ends whose basic point was solved for
         self.progress = None  # the outermost walk's (found, queue), for the log
 
     def point(self, sf: StandardForm, basis: list[int], st: np.ndarray) -> np.ndarray | None:
-        """The basic point of (basis, st), with basic variables resting on a
-        bound moved onto it; None, counted, if the point is unusable."""
+        """The basic point of (basis, st), solved for, with basic variables
+        resting on a bound moved onto it; None, counted, if the point is
+        unusable. The walk's start, a cone cross-section's start and a far
+        end that :meth:`far_points` cannot trust come from here."""
         try:
             x = basic_point(sf.A, sf.b, sf.lower, sf.upper, basis, st)
         except np.linalg.LinAlgError:
@@ -165,12 +202,37 @@ class _Walk:
         if sf.max_violation(x) > TOL_FEAS:
             self.rejected += 1
             return None
-        lb, ub = sf.lower, sf.upper
-        at_lower = np.isfinite(lb) & (x - lb <= _AT_BOUND * (1.0 + np.abs(lb)))
-        at_upper = np.isfinite(ub) & (ub - x <= _AT_BOUND * (1.0 + np.abs(ub)))
-        x[at_lower] = lb[at_lower]
-        x[at_upper] = ub[at_upper]
-        return x
+        return _snap(sf, x)
+
+    def far_points(self, sf: StandardForm, ends: list, Y: np.ndarray) -> list[np.ndarray | None]:
+        """The points of the far ends ``ends``, given as :func:`_far_ends`
+        steps them, one row of Y each, judged in one pass; None, counted, for
+        an unusable one.
+
+        A far end whose residual |A y - b| exceeds, on some row, ``_RESIDUAL``
+        of the row's scale or a tenth of TOL_FEAS, whichever is less, is
+        re-solved by :meth:`point` and counted in ``cold_points``; so is one
+        whose residual is not a number. The others are judged as
+        :meth:`point` judges a basic point: unusable, and counted, when they
+        violate feasibility by more than TOL_FEAS, which their residual
+        cannot; else moved onto the bounds they rest on.
+        """
+        v = sf.violations(Y)
+        scale = np.abs(Y).max(axis=1)[:, None] * np.abs(sf.A).sum(axis=1) + np.abs(sf.b)
+        exact = (v[:, : sf.m] <= np.minimum(_RESIDUAL * scale, 0.1 * TOL_FEAS)).all(axis=1)
+        usable = v.max(axis=1) <= TOL_FEAS
+        Y = _snap(sf, Y)
+        out = []
+        for k, (basis, st) in enumerate(ends):
+            if not exact[k]:
+                self.cold_points += 1
+                out.append(self.point(sf, basis, st))
+            elif usable[k]:
+                out.append(Y[k].copy())  # a kept point must not hold the whole stack
+            else:
+                self.rejected += 1
+                out.append(None)
+        return out
 
     def vertices(
         self,
@@ -191,7 +253,7 @@ class _Walk:
 
         ``level`` is the column of the level cut's slack, given only when x
         lies strictly below the level. A new vertex whose slack is exactly 0,
-        as :meth:`point` leaves it, lies on the level: it is kept, but never
+        as :func:`_snap` leaves it, lies on the level: it is kept, but never
         queued, so its edges are never computed. Any positive slack is
         strictly below, however small: an edge from there may cross the
         level far from the vertex.
@@ -211,19 +273,25 @@ class _Walk:
             vid, basis, st, x = queue.popleft()
             if self.bases % _LOG_EVERY == 0:
                 top_found, top_queue = self.progress
-                log.info("walk: %d bases expanded, %d vertices, %d queued", self.bases, len(top_found), len(top_queue))
-            moves, truncated = self._edges(sf, basis, st, x)
+                log.info(
+                    "walk: %d bases expanded, %d vertices, %d queued, %d re-solved cold",
+                    self.bases, len(top_found), len(top_queue), self.cold_points,
+                )
+            ends, Y, truncated = self._edges(sf, basis, st, x)
             if truncated:
                 return found, truncated
-            for new_basis, new_st in moves:
+            fresh = []
+            for k, (_, new_st) in enumerate(ends):
                 key = new_st.tobytes()
-                if key in landed:
-                    continue
-                landed.add(key)
-                y = self.point(sf, new_basis, new_st)
-                if y is None:
-                    continue
-                hit = index.find(y[None, :n0], store=True)[0]
+                if key not in landed:
+                    landed.add(key)
+                    fresh.append(k)
+            points = self.far_points(sf, [ends[k] for k in fresh], Y[fresh]) if fresh else []
+            usable = [(ends[k], y) for k, y in zip(fresh, points) if y is not None]
+            if not usable:
+                continue
+            hits = index.find(np.array([y[:n0] for _, y in usable]), store=True)
+            for ((new_basis, new_st), y), hit in zip(usable, hits):
                 if hit == len(found):
                     found.append((y, new_basis, new_st))
                     if len(found) > limit:
@@ -239,18 +307,19 @@ class _Walk:
         return found, None
 
     def _edges(self, sf: StandardForm, basis: list[int], st: np.ndarray, x: np.ndarray):
-        """One (basis, statuses) at the far end of each edge of the vertex x.
+        """One (basis, statuses) at the far end of each edge of the vertex x,
+        and the far ends' points as :func:`_far_ends` steps them, one row each.
 
         (basis, st) is a basis at x. The edges are the extreme rays of x's
         tangent cone. A nonbasic column that moves no basic variable resting
         on a bound is one; when no basic variable rests on a bound, those
         are all. The rest come from :meth:`_cone_moves`. A basic variable
-        rests on a bound when it equals it, as :meth:`point` leaves it.
+        rests on a bound when it equals it, as :func:`_snap` leaves it.
         """
         basis_set = set(basis)
         nonbasic = [j for j in range(sf.n) if j not in basis_set and sf.lower[j] != sf.upper[j]]
         if not nonbasic:
-            return [], None
+            return [], np.zeros((0, sf.n)), None
         if self.order is not None:
             self.order.shuffle(nonbasic)
         W = np.linalg.solve(sf.A[:, basis], sf.A[:, nonbasic]) if basis else np.zeros((0, len(nonbasic)))
@@ -264,21 +333,22 @@ class _Walk:
         G[np.abs(G) <= TOL_PIVOT] = 0.0  # rates the ratio test ignores
         moving = G.any(axis=0)
         direct = np.nonzero(~moving)[0]
-        out = _far_ends(sf, basis, st, xb, [nonbasic[k] for k in direct], sign[direct], -W[:, direct] * sign[direct])
+        out, Y = _far_ends(sf, basis, st, x, [nonbasic[k] for k in direct], sign[direct], -W[:, direct] * sign[direct])
         if moving.any():
             involved = G[:, moving].any(axis=1)
-            cone, truncated = self._cone_moves(
+            cone, cone_Y, truncated = self._cone_moves(
                 sf, x, basis, st, [nonbasic[k] for k in np.nonzero(moving)[0]], sign[moving],
                 G[involved][:, moving], rows[involved], at_lower, at_upper,
             )
             if truncated:
-                return [], truncated
+                return [], None, truncated
             out += cone
-        return out, None
+            Y = np.vstack([Y, *cone_Y])
+        return out, Y, None
 
     def _cone_moves(self, sf, x, basis, st, cols, sign, G, rows, at_lower, at_upper):
         """The far end of each edge of x's tangent cone that moves a basic
-        variable resting on a bound.
+        variable resting on a bound, and a list of their points, one row each.
 
         With u >= 0 a step along the nonbasic columns ``cols``, each oriented
         away from its bound, the basic variables of ``rows`` stay feasible
@@ -313,16 +383,16 @@ class _Walk:
         else:
             res = solve_standard(cone)
             if res.status == INFEASIBLE:
-                return [], None  # no such edge
+                return [], [], None  # no such edge
             if res.status != OPTIMAL:
                 self.rejected += 1
-                return [], None
+                return [], [], None
             q_basis, q_st = sorted(res.basis), np.array(res.statuses, dtype="<U1")
         q_x = self.point(cone, q_basis, q_st)
         if q_x is None:
-            return [], None
+            return [], [], None
         rays, truncated = self.vertices(cone, q_basis, q_st, q_x, math.inf, _CONE_TOL)
-        out = []
+        out, points = [], []
         for u, q_basis, _ in rays:
             in_u = [p for p in q_basis if p < K]
             e = max(in_u, key=lambda p: u[p])
@@ -342,8 +412,10 @@ class _Walk:
             rate = -sign[e] * w
             xb = x[new_basis]
             rate[((xb == sf.lower[new_basis]) & (rate < 0)) | ((xb == sf.upper[new_basis]) & (rate > 0))] = 0.0
-            out += _far_ends(sf, new_basis, new_st, xb, [cols[e]], sign[e : e + 1], rate[:, None])
-        return out, truncated
+            end, y = _far_ends(sf, new_basis, new_st, x, [cols[e]], sign[e : e + 1], rate[:, None])
+            out += end
+            points.append(y)
+        return out, points, truncated
 
 
 def _sublevel_form(sub: LpModel, start: SimplexResult | None) -> StandardForm | None:
@@ -433,6 +505,9 @@ def enumerate_vertices(
     their neighbours below and never expanded (see the module docstring).
     ``meta["bases_visited"]`` counts the bases whose edges were computed,
     and ``meta["on_level"]`` the vertices landed on the level instead.
+    ``meta["cold_points"]`` counts the far ends, cone walks included, whose
+    point stepped along the edge left a residual too large to trust, so
+    that their basic point was solved for (see :meth:`_Walk.far_points`).
     """
     sub = make_sublevel_model(model, z_star, spec)
     tau = sub.metadata["sublevel_tau"]
@@ -472,6 +547,7 @@ def enumerate_vertices(
     meta["bases_visited"] = walk.bases
     meta["on_level"] = walk.on_level
     meta["rejected"] = walk.rejected
+    meta["cold_points"] = walk.cold_points
     if truncated:
         meta["truncated"] = truncated
     return _vertex_set(model, [sf.recover(x) for x, _, _ in found], meta, truncated is None, dedup_tol)
@@ -538,7 +614,9 @@ def brute_force_vertices(
 
     if _provably_empty(z_star, tau, sub.objective.sense):
         return empty("sublevel model infeasible (tau below the optimal value)")
-    rows, rhs, senses = sub.constraint_matrix()
+    # the violation kernel's own dense rows, so the matrix is built once
+    checks = sub._checks
+    rows, rhs, senses = checks["rows"], checks["rhs"], checks["senses"]
     eq_rows: list[np.ndarray] = []
     eq_rhs: list[float] = []
     pool: list[tuple[np.ndarray, float]] = []

@@ -166,6 +166,26 @@ class TestRoundTrip:
         assert res.basis == () and res.x is None and res.sf.m == 3
 
 
+def max_violation_reference(sf, x):
+    """The standard form's violation of one point, written out part by part."""
+    parts = [np.abs(sf.A @ x - sf.b), sf.lower - x, x - sf.upper]
+    return float(max(p.max() for p in parts if p.size))
+
+
+class TestViolations:
+    def test_one_point_and_a_stack_match_the_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            sf = to_standard_form(random_bounded_lp(rng))
+            lo, hi = np.where(np.isfinite(sf.lower), sf.lower, -5.0), np.where(np.isfinite(sf.upper), sf.upper, 5.0)
+            X = rng.uniform(lo - 1.0, hi + 1.0, size=(3, sf.n))
+            stacked = sf.max_violation(X)
+            for x, v in zip(X, stacked):
+                assert sf.max_violation(x) == max_violation_reference(sf, x)  # the same bits
+                assert v == pytest.approx(max_violation_reference(sf, x), rel=1e-12, abs=1e-12)
+            assert sf.violations(X).shape == (3, sf.m + sf.n)
+
+
 class TestRedundantRows:
     def duplicated(self):
         return make(

@@ -34,6 +34,7 @@ from aoskit import (
     solve_model,
 )
 from aoskit.cli import main
+from aoskit.standard_form import StandardForm
 
 from conftest import dependent_cube, feasible_random_network, random_bounded_lp
 
@@ -127,11 +128,23 @@ class TestBruteForceOracle:
         assert bf.complete and walk.complete
         assert bf.same_points(walk, 1e-6) and len(bf) == len(walk) == 2
 
+    def test_the_dense_rows_are_built_once_per_call(self, monkeypatch):
+        calls = []
+        real = LpModel.constraint_matrix
+        monkeypatch.setattr(LpModel, "constraint_matrix", lambda m: calls.append(None) or real(m))
+        rng = np.random.default_rng(606)
+        for gap in (0.0, 0.02, 0.1):
+            m = random_bounded_lp(rng, n_max=5, m_max=10)
+            z = solve_model(m).value
+            calls.clear()
+            vs = brute_force_vertices(m, z, SublevelSpec(gap=gap))
+            assert len(vs) and len(calls) == 1
+
 
 # the pivoting code the oracle is there to check, so must never call
 PIVOTING = {
     "basic_point", "ratio_test", "leaving_row", "solve_standard", "solve_from", "to_standard_form",
-    "drop_redundant_equalities", "_Walk", "_far_ends",
+    "drop_redundant_equalities", "_Walk", "_far_ends", "far_points", "_snap", "_RESIDUAL",
 }
 
 
@@ -458,19 +471,61 @@ def flaky_basic_point(monkeypatch, fail_on: int):
     monkeypatch.setattr(vertices, "basic_point", flaky)
 
 
+def spoil_far_end(monkeypatch, fail_on: int, part: str):
+    """Make the walk's judgement of its ``fail_on``-th far end read a
+    violation of 1 on every bound (``part="bounds"``), which makes the far
+    end unusable, or on every row (``part="rows"``), which sends it to the
+    cold re-check. Far ends are judged in stacks; single points are not
+    far ends."""
+    judged = []
+    real = StandardForm.violations
+
+    def spoiled(sf, x):
+        v = real(sf, x)
+        if np.ndim(x) == 2:
+            k = fail_on - 1 - len(judged)
+            judged.extend(x)
+            if 0 <= k < len(x):
+                v[k, slice(sf.m, None) if part == "bounds" else slice(sf.m)] += 1.0
+        return v
+
+    monkeypatch.setattr(StandardForm, "violations", spoiled)
+
+
 class TestNumericalDrops:
+    def twelve_gon(self):
+        return enumerate_vertices(TestTruncation().many_vertex_model(), TestTruncation.Z_STAR, TestTruncation.WIDE)
+
     def test_dropped_basis_is_counted_and_truncates(self, monkeypatch):
-        flaky_basic_point(monkeypatch, fail_on=2)
-        m = TestTruncation().many_vertex_model()
-        vs = enumerate_vertices(m, TestTruncation.Z_STAR, TestTruncation.WIDE)
+        spoil_far_end(monkeypatch, fail_on=2, part="bounds")
+        vs = self.twelve_gon()
         assert vs.meta["rejected"] == 1
         assert vs.meta["truncated"] == "numerical"
         assert not vs.complete
         # the vertex has one basis, so it is lost, and the flag says so
         assert len(vs) == 11
+        assert vs.meta["cold_points"] == 0
+
+    def test_a_far_end_off_its_rows_is_solved_for_not_dropped(self, monkeypatch):
+        spoil_far_end(monkeypatch, fail_on=2, part="rows")
+        vs = self.twelve_gon()
+        assert vs.meta["cold_points"] == 1
+        assert vs.meta["rejected"] == 0
+        assert len(vs) == 12 and vs.complete
+
+    def test_a_failed_cold_solve_is_counted_and_truncates(self, monkeypatch):
+        # the first solve is the start vertex's, the second the re-check's
+        spoil_far_end(monkeypatch, fail_on=2, part="rows")
+        flaky_basic_point(monkeypatch, fail_on=2)
+        vs = self.twelve_gon()
+        assert vs.meta["cold_points"] == 1
+        assert vs.meta["rejected"] == 1
+        assert vs.meta["truncated"] == "numerical"
+        assert not vs.complete
+        assert len(vs) == 11
 
     def test_cli_exits_4_on_a_dropped_basis(self, monkeypatch):
-        flaky_basic_point(monkeypatch, fail_on=2)
+        spoil_far_end(monkeypatch, fail_on=2, part="bounds")
         out = io.StringIO()
         path = str(resources.files("aoskit") / "fixtures" / "canonical_3bus.json")
         with contextlib.redirect_stdout(out):
@@ -874,9 +929,9 @@ class TestExpandOnlyBelowTheLevel:
             vs = enumerate_vertices(unit_square(), 0.0, SublevelSpec(tau=1.5))
         assert vs.meta["bases_visited"] == 3 and vs.meta["on_level"] == 2
         assert [r.getMessage() for r in caplog.records if r.name == "aoskit.vertices"] == [
-            "walk: 1 bases expanded, 1 vertices, 0 queued",
-            "walk: 2 bases expanded, 3 vertices, 1 queued",
-            "walk: 3 bases expanded, 4 vertices, 0 queued",
+            "walk: 1 bases expanded, 1 vertices, 0 queued, 0 re-solved cold",
+            "walk: 2 bases expanded, 3 vertices, 1 queued, 0 re-solved cold",
+            "walk: 3 bases expanded, 4 vertices, 0 queued, 0 re-solved cold",
         ]
 
     def test_progress_log_leaves_the_report_alone(self, monkeypatch, caplog):
@@ -890,3 +945,76 @@ class TestExpandOnlyBelowTheLevel:
             reports.append(out.getvalue())
         assert reports[0] == reports[1]
         assert any(r.name == "aoskit.vertices" for r in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# far ends stepped along their edges, not solved for
+
+
+def record_far_points(monkeypatch):
+    """Record (form, (basis, statuses), point) for every far end the walk
+    accepts, cone walks included."""
+    accepted = []
+    real = vertices._Walk.far_points
+
+    def recorded(walk, sf, ends, Y):
+        points = real(walk, sf, ends, Y)
+        accepted.extend((sf, end, y) for end, y in zip(ends, points) if y is not None)
+        return points
+
+    monkeypatch.setattr(vertices._Walk, "far_points", recorded)
+    return accepted
+
+
+def oracle_lp(seed: int, sense: str) -> LpModel:
+    """A random bounded LP of the kind acceptance criterion 6 draws."""
+    return with_sense(random_bounded_lp(np.random.default_rng(seed), n_max=5, m_max=10), sense)
+
+
+class TestSteppedFarEnds:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["min", "max", "apex"]), st.sampled_from([0.0, 0.02, 0.1, 0.3]))
+    def test_every_far_end_is_its_basic_point(self, seed, kind, gap):
+        # the apex families put a degenerate vertex first, so cone walks run
+        if kind == "apex":
+            n, k = APEX_FAMILIES[seed % len(APEX_FAMILIES)]
+            m = apex_family(n, k, seed % 5)
+        else:
+            m = oracle_lp(seed, kind)
+        best = solve_model(m)
+        with pytest.MonkeyPatch.context() as patch:
+            accepted = record_far_points(patch)
+            vs = enumerate_vertices(m, best.value, SublevelSpec(gap=gap), start=best)
+        assert vs.complete and vs.meta["cold_points"] == 0
+        assert accepted or len(vs) == 1
+        for sf, (basis, statuses), y in accepted:
+            p = vertices._snap(sf, vertices.basic_point(sf.A, sf.b, sf.lower, sf.upper, basis, statuses))
+            assert np.abs(y - p).max() <= 1e-9 * max(1.0, np.abs(p).max())
+
+    @pytest.mark.parametrize("gap", [0.0, 0.02, 0.1])
+    def test_cold_far_ends_give_the_same_vertices(self, monkeypatch, gap):
+        # at a residual bound of 0 every far end whose residual is not
+        # exactly 0 is solved for, as the walk did before it stepped them
+        models = [oracle_lp(seed, sense) for seed in range(40) for sense in ("min", "max")]
+        models += [apex_family(n, k, 0) for n, k in APEX_FAMILIES]
+        models += [feasible_random_network(np.random.default_rng(seed), 12)[1] for seed in range(4)]
+        spec = SublevelSpec(gap=gap)
+        stepped = [enumerate_vertices(m, solve_model(m).value, spec) for m in models]
+        monkeypatch.setattr(vertices, "_RESIDUAL", 0.0)
+        cold = 0
+        for m, warm in zip(models, stepped):
+            solved = enumerate_vertices(m, solve_model(m).value, spec)
+            assert_same_vertex_sets(warm, solved)
+            assert warm.meta["bases_visited"] == solved.meta["bases_visited"]
+            assert warm.meta["cold_points"] == 0 == solved.meta["rejected"]
+            cold += solved.meta["cold_points"]
+        assert cold > 0
+
+    def test_a_deep_walk_solves_for_no_far_end(self):
+        # conftest seed 31, 30 buses: 239 vertices expanded, each far end a
+        # step from one before it, down to 2 358 vertices
+        _, dc, best = feasible_random_network(np.random.default_rng(31), 30)
+        vs = enumerate_vertices(dc, best.value, SublevelSpec(gap=0.01), start=best)
+        assert len(vs) == 2358 and vs.complete
+        assert vs.meta["rejected"] == 0
+        assert vs.meta["cold_points"] == 0

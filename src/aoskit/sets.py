@@ -30,11 +30,11 @@ class _PointIndex:
 
     A point is hashed by its weighted coordinate sum. The weights are
     positive and sum to 1, so points within ``tol`` have sums within
-    ``tol``; they are unequal, since many sets share one plain sum (cone
-    cross-sections sum to 1, DC-OPF generation to the load). A lookup
-    probes the sum's cell, 64 ``tol`` wide, and the cell across the nearer
-    edge when the sum lies within twice ``tol`` of it, then checks the
-    distance to each candidate. A row's sum depends on that row alone.
+    ``tol``; they are unequal, since many sets share one plain sum (DC-OPF
+    generation sums to the load). A lookup probes the sum's cell, 64
+    ``tol`` wide, and the cell across the nearer edge when the sum lies
+    within twice ``tol`` of it, then checks the distance to each candidate.
+    A row's sum depends on that row alone.
     """
 
     def __init__(self, tol: float):

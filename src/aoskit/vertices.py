@@ -8,10 +8,13 @@ Two independent routes to the same answer:
   vertex's tangent cone. Where no basic variable rests on a bound they are
   the single pivots and bound flips; at a degenerate vertex they are the
   vertices of a cross-section of the cone, walked the same way one
-  dimension down. (Avis & Fukuda 1992, "A pivoting algorithm for convex
-  hulls and vertex enumeration of arrangements and polyhedra", likewise
-  enumerate vertices rather than bases.) Its ratio test and leaving-row
-  rule are the simplex's own (:func:`~aoskit.simplex.ratio_test`,
+  dimension down. A vertex is the one point where its tight constraints
+  meet, so vertices are told apart by their tight sets, the columns that
+  lie on a bound, not by distance. (Avis & Fukuda 1992, "A pivoting
+  algorithm for convex hulls and vertex enumeration of arrangements and
+  polyhedra", likewise enumerate vertices rather than bases.) Its ratio
+  test and leaving-row rule are the simplex's own
+  (:func:`~aoskit.simplex.ratio_test`,
   :func:`~aoskit.simplex.leaving_row`). A far end's point is not solved
   for: it is the vertex stepped along the edge, x + t d, with d from the
   same solve that gives the rates and t from the ratio test, and all far
@@ -47,7 +50,7 @@ from collections import deque
 import numpy as np
 
 from .model import LpModel
-from .sets import DEDUP_TOL, UniquenessCertificate, VertexSet, _PointIndex
+from .sets import DEDUP_TOL, UniquenessCertificate, VertexSet
 from .simplex import (
     INFEASIBLE,
     NUMERIC_FAILURE,
@@ -75,9 +78,6 @@ _AT_BOUND = 1e-9
 # the sum of the row's |A|; the largest share on conftest seeds 9 and 31
 # (30 buses) was 2e-15
 _RESIDUAL = 1e-9
-# distance at which two points of a tangent cone's cross-section, whose
-# coordinates sum to 1, are one vertex
-_CONE_TOL = 1e-9
 # the walk logs a progress line each time it has expanded this many bases
 _LOG_EVERY = 1000
 
@@ -177,6 +177,12 @@ def _snap(sf: StandardForm, x: np.ndarray) -> np.ndarray:
     return np.where(at_upper, ub, np.where(at_lower, lb, x))
 
 
+def _tight_set(sf: StandardForm, Y: np.ndarray) -> list[bytes]:
+    """For each point of Y, as :func:`_snap` leaves it, the bytes of which
+    columns equal their lower bound and which their upper one."""
+    return [row.tobytes() for row in np.hstack([Y == sf.lower, Y == sf.upper])]
+
+
 class _Walk:
     """State shared by one enumeration and every cone walk it starts."""
 
@@ -234,22 +240,14 @@ class _Walk:
                 out.append(None)
         return out
 
-    def vertices(
-        self,
-        sf: StandardForm,
-        basis: list[int],
-        st: np.ndarray,
-        x: np.ndarray,
-        limit: float,
-        tol: float,
-        level: int | None = None,
-    ):
+    def vertices(self, sf: StandardForm, basis: list[int], st: np.ndarray, x: np.ndarray, limit: float, level: int | None = None):
         """Breadth-first walk over the vertices of sf's polytope.
 
         Starts at the vertex x of (basis, st), as :meth:`point` returns it.
-        Vertices are told apart by their first ``sf.n_original`` coordinates
-        at max-coordinate distance ``tol``. Returns ([(point, basis,
-        statuses)] with one basis per vertex, the truncation reason or None).
+        Vertices are told apart by their tight sets (:func:`_tight_set`): every
+        basis of a vertex, degenerate ones included, gives one key, and two
+        vertices never share one. Returns ([(point, basis, statuses)] with
+        one basis per vertex, the truncation reason or None).
 
         ``level`` is the column of the level cut's slack, given only when x
         lies strictly below the level. A new vertex whose slack is exactly 0,
@@ -258,19 +256,17 @@ class _Walk:
         strictly below, however small: an edge from there may cross the
         level far from the vertex.
         """
-        n0 = sf.n_original
-        index = _PointIndex(tol)
-        index.add(x[None, :n0])
         found = [(x, basis, st)]
+        tight = set(_tight_set(sf, x[None]))
         landed = {st.tobytes()}  # every basis reached, dropped ones included
-        queue = deque([(0, basis, st, x)])
+        queue = deque([(basis, st, x)])
         if self.progress is None:
             self.progress = (found, queue)
         while queue:
             if self.bases >= self.max_bases:
                 return found, "basis budget"
             self.bases += 1
-            vid, basis, st, x = queue.popleft()
+            basis, st, x = queue.popleft()
             if self.bases % _LOG_EVERY == 0:
                 top_found, top_queue = self.progress
                 log.info(
@@ -290,20 +286,18 @@ class _Walk:
             usable = [(ends[k], y) for k, y in zip(fresh, points) if y is not None]
             if not usable:
                 continue
-            hits = index.find(np.array([y[:n0] for _, y in usable]), store=True)
-            for ((new_basis, new_st), y), hit in zip(usable, hits):
-                if hit == len(found):
-                    found.append((y, new_basis, new_st))
-                    if len(found) > limit:
-                        return found[:-1], "vertex limit"
-                    if level is not None and y[level] == 0.0:
-                        self.on_level += 1
-                    else:
-                        queue.append((hit, new_basis, new_st, y))
-                elif hit == vid:
-                    # an edge shorter than tol: its far end is another basis
-                    # of this vertex, whose own edges may lead elsewhere
-                    queue.append((vid, new_basis, new_st, y))
+            keys = _tight_set(sf, np.array([y for _, y in usable]))
+            for ((new_basis, new_st), y), key in zip(usable, keys):
+                if key in tight:
+                    continue
+                tight.add(key)
+                found.append((y, new_basis, new_st))
+                if len(found) > limit:
+                    return found[:-1], "vertex limit"
+                if level is not None and y[level] == 0.0:
+                    self.on_level += 1
+                else:
+                    queue.append((new_basis, new_st, y))
         return found, None
 
     def _edges(self, sf: StandardForm, basis: list[int], st: np.ndarray, x: np.ndarray):
@@ -391,7 +385,7 @@ class _Walk:
         q_x = self.point(cone, q_basis, q_st)
         if q_x is None:
             return [], [], None
-        rays, truncated = self.vertices(cone, q_basis, q_st, q_x, math.inf, _CONE_TOL)
+        rays, truncated = self.vertices(cone, q_basis, q_st, q_x, math.inf)
         out, points = [], []
         for u, q_basis, _ in rays:
             in_u = [p for p in q_basis if p < K]
@@ -477,14 +471,16 @@ def enumerate_vertices(
 
     The sublevel model is built internally from ``z_star`` and ``spec``.
     Points are reported in the model's own variable space, deduplicated at
-    ``dedup_tol``, and sorted. ``limit`` caps the number of distinct points;
-    finding more, or exploring ``max_bases`` bases (cone walks included),
-    yields complete=False. So does a basis dropped because its solve failed
-    or its point was infeasible: ``meta["rejected"]`` counts those, and
-    ``meta["truncated"]`` reads "numerical". ``order_rng`` shuffles
-    exploration order only: the same vertices are found, but a vertex with
-    several bases is reported at the basis reached first, so its last
-    digits may differ.
+    ``dedup_tol``, and sorted; the walk tells vertices apart by their tight
+    sets, so ``dedup_tol`` acts on the report alone. ``limit`` caps the
+    number of vertices the walk finds, not of points merged at
+    ``dedup_tol``; finding more, or exploring ``max_bases`` bases (cone
+    walks included), yields complete=False. So does a basis dropped because
+    its solve failed or its point was infeasible: ``meta["rejected"]``
+    counts those, and ``meta["truncated"]`` reads "numerical".
+    ``order_rng`` shuffles exploration order only: the same vertices are
+    found, but a vertex with several bases is reported at the basis reached
+    first, so its last digits may differ.
 
     The walk starts at the model's optimum, a vertex of the sublevel
     polytope, at its basis plus the level cut's slack. ``start``, the
@@ -540,7 +536,7 @@ def enumerate_vertices(
     else:
         # _start_basis appends the level row, so its slack is the last column
         level = sf.n - 1 if x[sf.n - 1] > 0 else None
-        found, truncated = walk.vertices(sf, basis, st, x, limit, dedup_tol, level)
+        found, truncated = walk.vertices(sf, basis, st, x, limit, level)
     if truncated is None and walk.rejected:
         truncated = "numerical"
 

@@ -150,7 +150,8 @@ def random_connected_network(rng: np.random.Generator, n_buses: int) -> Network:
     loads = {}
     budget = 0.6 * total_cap
     for b in load_buses:
-        amount = float(np.round(rng.uniform(5, budget / n_loads), 1))
+        # at least 5, so a budget spread thinner than 5 per load still draws
+        amount = float(np.round(rng.uniform(5, max(5.0, budget / n_loads)), 1))
         if amount > 0:
             loads[buses[int(b)]] = amount
     if not loads:

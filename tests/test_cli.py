@@ -134,6 +134,17 @@ class TestEnumerate:
         assert doc["result"]["complete"] is True
         assert len(doc["result"]["names"]) == 9
 
+    @pytest.mark.parametrize("gap", [0, 0.05, 0.2])
+    def test_dedup_tol_0_finds_the_same_vertices(self, run, gap):
+        # the walk tells vertices apart by tight set, so rounding-noise
+        # copies of a vertex are one vertex at any dedup tolerance
+        for flags in ((), ("--dedup-tol", 0)):
+            code, out, _ = run("enumerate", CANONICAL, "--gap", gap, *flags)
+            result = json.loads(out)["result"]
+            assert code == 0
+            assert result["count"] == 5 and result["complete"] is True
+            assert result["meta"]["bases_visited"] == 9
+
     def test_tau_below_the_optimum_is_provably_empty_not_an_error(self, run):
         code, out, _ = run("enumerate", CANONICAL, "--tau", 4999)
         doc = json.loads(out)

@@ -263,6 +263,12 @@ class TestNetworkValidation:
             Network(buses=net.buses, lines=net.lines,
                     generators=net.generators, loads=net.loads)
 
+    def test_a_thin_load_budget_still_draws_a_network(self):
+        # seed 5 at 20 buses spreads 0.6 of its capacity below 5 per load
+        net, _, best = feasible_random_network(np.random.default_rng(5), 20)
+        assert best.status == "optimal"
+        assert all(load >= 5.0 for load in net.loads.values())
+
     def test_negative_load_rejected(self):
         with pytest.raises(NetworkError):
             Network(

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import inspect
@@ -5,6 +6,8 @@ import io
 import json
 import logging
 import pkgutil
+import sys
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -22,6 +25,7 @@ from aoskit import (
     SublevelSpec,
     UnboundedRegionError,
     Variable,
+    VertexSet,
     apply_box_bounds,
     brute_force_vertices,
     build_dcopf,
@@ -37,6 +41,7 @@ from aoskit.cli import main
 from aoskit.standard_form import StandardForm
 
 from conftest import dependent_cube, feasible_random_network, random_bounded_lp
+import exact_oracle
 
 GAP0 = SublevelSpec(gap=0.0)
 
@@ -141,6 +146,36 @@ class TestBruteForceOracle:
             assert len(vs) and len(calls) == 1
 
 
+class TestExactOracle:
+    def test_unit_square_levels_give_exact_corners(self):
+        m = unit_square()
+        for tau, corners in ((10.0, [(0, 0), (0, 1), (1, 0), (1, 1)]), (1.0, [(0, 0), (0, 1), (1, 0)]), (-1.0, [])):
+            sub = make_sublevel_model(m, 0.0, SublevelSpec(tau=tau))
+            assert exact_oracle.exact_vertices(sub) == [tuple(map(Fraction, c)) for c in corners]
+
+    def test_dependent_equalities_count_only_when_they_agree(self):
+        wide = SublevelSpec(tau=10.0)
+        exact = exact_set(dependent_cube(), 0.0, wide)
+        assert exact.same_points(brute_force_vertices(dependent_cube(), 0.0, wide)) and len(exact) == 5
+        assert exact_oracle.exact_vertices(make_sublevel_model(dependent_cube(3.5), 0.0, wide)) == []
+
+    def test_agrees_with_the_float_oracle_where_the_level_has_room(self):
+        # without equality rows, which can agree only up to rounding, and
+        # with the level a tenth past the optimum, rounding decides nothing
+        checked = 0
+        for seed in range(40):
+            for sense in ("min", "max"):
+                m = with_sense(random_bounded_lp(np.random.default_rng(seed), n_max=4, m_max=6), sense)
+                if any(c.sense == "=" for c in m.constraints):
+                    continue
+                spec = SublevelSpec(gap=0.1)
+                z = solve_model(m).value
+                exact, bf = exact_set(m, z, spec), brute_force_vertices(m, z, spec)
+                assert exact.same_points(bf) and len(exact) == len(bf) > 0
+                checked += 1
+        assert checked == 58
+
+
 # the pivoting code the oracle is there to check, so must never call
 PIVOTING = {
     "basic_point", "ratio_test", "leaving_row", "solve_standard", "solve_from", "to_standard_form",
@@ -192,6 +227,15 @@ class TestOracleIndependence:
     def test_the_walk_reaches_the_pivoting_code(self):
         # the check above would pass vacuously if the walker missed calls
         assert names_reached(enumerate_vertices) >= PIVOTING - {"solve_from"}
+
+    def test_the_exact_oracle_imports_only_the_standard_library(self):
+        tree = ast.parse(inspect.getsource(exact_oracle))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {
+            "." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        }
+        assert "fractions" in imported
+        assert {name.split(".")[0] for name in imported} <= sys.stdlib_module_names
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +641,16 @@ class TestDegenerateVertices:
         assert len(vs) == 12 and vs.complete
         assert vs.same_points(brute_force_vertices(m, TestTruncation.Z_STAR, TestTruncation.WIDE))
 
+    def test_a_dedup_tol_of_0_finds_the_default_vertices(self):
+        # conftest seed 3, 12 buses, gap 0.05: 202 vertices; a walk that
+        # told vertices apart by distance counted 248 at a distance of 0
+        _, dc, best = feasible_random_network(np.random.default_rng(3), 12)
+        spec = SublevelSpec(gap=0.05)
+        default = enumerate_vertices(dc, best.value, spec, start=best)
+        exact = enumerate_vertices(dc, best.value, spec, start=best, dedup_tol=0.0)
+        assert len(default) == len(exact) == 202 and exact.complete
+        assert exact.meta["bases_visited"] == default.meta["bases_visited"]
+
     @pytest.mark.parametrize("gap", [0.0, 0.05])
     def test_canonical_verify_models_match_oracle(self, gap):
         net = canonical_3bus()
@@ -813,6 +867,38 @@ class TestWalkFromTheOptimum:
 # above the optimum the walk expands only the vertices strictly below the level
 
 
+def large_level_case(seed: int, sense: str, pick: int):
+    """A random LP plus a column t in [1, 2] costing 1e5, so |tau| is near
+    1e5, and a level 5e-5 past the value of a vertex with t = 1; that vertex
+    lies strictly below the level by less than 1e-9 * |tau|, and edges with
+    rates up to 50 cross the level more than dedup_tol away. Returns (model,
+    its optimum, the level), or None when no vertex qualifies."""
+    base = with_sense(random_bounded_lp(np.random.default_rng(seed)), sense)
+    big = 1e5 if sense == "min" else -1e5
+    m = LpModel(
+        variables=list(base.variables) + [Variable("t", 1.0, 2.0)],
+        constraints=base.constraints,
+        objective=Objective(sense, {**base.objective.coeffs, "t": big}),
+    )
+    best = solve_model(m)
+    everything = SublevelSpec(tau=1e6 if sense == "min" else -1e6)
+    values = brute_force_vertices(m, best.value, everything).objectives
+    near = np.abs(values - best.value) < 1e3
+    above = values[near & (np.abs(values - best.value) > 1e-6 * abs(best.value))]
+    if not above.size:
+        return None
+    v = float(above[pick % above.size])
+    return m, best, SublevelSpec(tau=v + 5e-5 if sense == "min" else v - 5e-5)
+
+
+def exact_set(m: LpModel, z_star: float, spec: SublevelSpec) -> VertexSet:
+    """The exact vertices of m's sublevel polytope, rounded to floats and
+    merged at dedup_tol as a report's points are."""
+    sub = make_sublevel_model(m, z_star, spec)
+    points = [[float(v) for v in p] for p in exact_oracle.exact_vertices(sub)]
+    return VertexSet.from_points(np.reshape(points, (-1, sub.n_variables)), sub.variable_names)
+
+
 class TestExpandOnlyBelowTheLevel:
     @pytest.mark.parametrize("gap", [0.01, 0.1, 0.5])
     def test_matches_oracle_on_random_lps(self, gap):
@@ -868,31 +954,33 @@ class TestExpandOnlyBelowTheLevel:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["min", "max"]), st.integers(0, 2**16), st.booleans())
     def test_matches_oracle_with_a_large_level_just_past_a_vertex(self, seed, sense, pick, warm):
-        # a column t in [1, 2] costing 1e5 puts |tau| near 1e5; tau sits
-        # 5e-5 past the value of a vertex with t = 1, so that vertex lies
-        # strictly below the level by less than 1e-9 * |tau|, and edges
-        # with rates up to 50 cross the level more than dedup_tol away.
-        # The oracle runs at feas_tol 1e-9: at 1e-7 it would also keep
-        # points where the level meets t's lower bound up to 1e-7 outside.
-        base = with_sense(random_bounded_lp(np.random.default_rng(seed)), sense)
-        big = 1e5 if sense == "min" else -1e5
-        m = LpModel(
-            variables=list(base.variables) + [Variable("t", 1.0, 2.0)],
-            constraints=base.constraints,
-            objective=Objective(sense, {**base.objective.coeffs, "t": big}),
-        )
-        best = solve_model(m)
-        everything = SublevelSpec(tau=1e6 if sense == "min" else -1e6)
-        values = brute_force_vertices(m, best.value, everything).objectives
-        near = np.abs(values - best.value) < 1e3
-        above = values[near & (np.abs(values - best.value) > 1e-6 * abs(best.value))]
-        assume(above.size)
-        v = float(above[pick % above.size])
-        spec = SublevelSpec(tau=v + 5e-5 if sense == "min" else v - 5e-5)
+        case = large_level_case(seed, sense, pick)
+        assume(case is not None)
+        m, best, spec = case
         vs = enumerate_vertices(m, best.value, spec, start=best if warm else None)
-        bf = brute_force_vertices(m, best.value, spec, feas_tol=1e-9)
         assert vs.complete
+        # at feas_tol 1e-7 the float oracle would keep points where the level
+        # meets t's lower bound up to 1e-7 outside; at 1e-9 it still may,
+        # and then the exact set decides
+        bf = brute_force_vertices(m, best.value, spec, feas_tol=1e-9)
+        if not (vs.same_points(bf) and len(vs) == len(bf)):
+            bf = exact_set(m, best.value, spec)
         assert vs.same_points(bf) and len(vs) == len(bf)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("pick", [4, 6])
+    def test_a_large_level_matches_the_exact_vertices(self, pick, warm):
+        # an example the test above drew: with pick 4 an edge from a near
+        # vertex on the level leads to an infeasible basis, so that vertex
+        # must not be expanded; with pick 6 the float oracle keeps a 14th
+        # point, 6.5e-10 below t's lower bound. In exact arithmetic there
+        # are 15 and 14 vertices, 13 points each at dedup_tol.
+        m, best, spec = large_level_case(141527994, "min", pick)
+        vs = enumerate_vertices(m, best.value, spec, start=best if warm else None)
+        exact = exact_set(m, best.value, spec)
+        assert vs.complete and vs.meta["rejected"] == 0
+        assert vs.same_points(exact) and len(vs) == len(exact) == 13
+        assert len(brute_force_vertices(m, best.value, spec, feas_tol=1e-9)) == (13 if pick == 4 else 14)
 
     def test_matches_oracle_on_small_networks(self):
         on_level = 0
